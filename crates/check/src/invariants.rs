@@ -8,9 +8,11 @@
 //!    counters, queue samples, channel utilization, final cycle —
 //!    equals the oracle's, for table `Off`, `On` and `Auto` alike, and
 //!    again for the cycle-barrier sharded arbitrator at 2 and 4 shards.
-//! 2. **Prohibited turns**: a [`TurnUsageObserver`] rides the table-off
-//!    run whenever the algorithm has a classifiable mesh turn set; it
-//!    hard-asserts no prohibited turn is ever taken.
+//! 2. **Prohibited turns**: a [`TurnUsageObserver`] rides an extra
+//!    table-off run whenever the algorithm has a classifiable mesh turn
+//!    set; it hard-asserts no prohibited turn is ever taken. (Observed
+//!    runs never park blocked headers, so the table-off mode is also
+//!    run unobserved.)
 //! 3. **Flit conservation**: per packet,
 //!    `at_source + in_network + consumed == length`, and globally
 //!    `delivered + queued + in_flight == generated`.
@@ -78,8 +80,12 @@ pub fn check_case(case: &ConformanceCase) -> Result<(), String> {
 }
 
 /// One optimized-engine run under `mode`, compared field-for-field with
-/// the oracle; the table-off run also carries the prohibited-turn
-/// observer and feeds the flit-conservation check.
+/// the oracle. The table-off mode runs twice when the algorithm has a
+/// turn set: once carrying the prohibited-turn observer (which makes
+/// the engine evaluate every requester every cycle) and once
+/// unobserved (which parks blocked headers) — live fault pruning only
+/// happens with the table off, so both arbitration regimes must meet
+/// the oracle there. The table-off runs also feed flit conservation.
 fn check_engine_mode(
     built: &BuiltCase,
     oracle: &OracleReport,
@@ -95,7 +101,7 @@ fn check_engine_mode(
                 built.topo.as_ref(),
                 built.algo.as_ref(),
                 built.pattern.as_ref(),
-                config,
+                config.clone(),
                 TurnUsageObserver::new(turns.clone()),
             );
             let report = sim.run();
@@ -104,9 +110,9 @@ fn check_engine_mode(
                 &report,
                 sim.cycle(),
                 &sim.channel_utilization(),
-                &tag,
+                &format!("{tag} (observed)"),
             )?;
-            return check_conservation(&sim, &report);
+            check_conservation(&sim, &report)?;
         }
     }
     let mut sim = Simulation::new(

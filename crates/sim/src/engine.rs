@@ -58,6 +58,11 @@ struct HotLanes {
     head_arrival: Vec<u64>,
     /// Stranded flags (see [`Packet::is_stranded`]).
     stranded: Vec<bool>,
+    /// Blocked stamp: `cycle + 1` of the arbitration that last found
+    /// this header with a non-empty permitted set and no free
+    /// in-service candidate (0 = never). The header is parked while the
+    /// stamp is newer than its router's `released_epoch`.
+    blocked: Vec<u64>,
 }
 
 impl HotLanes {
@@ -67,6 +72,7 @@ impl HotLanes {
         self.arrived.push(None);
         self.head_arrival.push(created_at);
         self.stranded.push(false);
+        self.blocked.push(0);
     }
 }
 
@@ -198,6 +204,14 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     /// Flits routed over each channel during the measurement window
     /// (credited when a header acquires the channel).
     channel_flits: Vec<u64>,
+    /// Release stamp per router: `cycle + 1` of the last cycle that
+    /// released a channel leaving it or changed any service bit (fault
+    /// events stamp every router). A header's candidates all exit its
+    /// head node, so nothing a parked header waits on changes without
+    /// this stamp catching up with its blocked stamp.
+    released_epoch: Vec<u64>,
+    /// Requesters arbitration evaluated, summed over all cycles.
+    requesters_evaluated: u64,
     /// Packets currently in flight.
     in_flight: Vec<PacketId>,
     /// Packets the routing relation stranded (each flagged on its
@@ -294,6 +308,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
                 arrived: Vec::new(),
                 head_arrival: Vec::new(),
                 stranded: Vec::new(),
+                blocked: Vec::new(),
             },
             queues: vec![VecDeque::new(); topo.num_nodes()],
             queued_total: 0,
@@ -309,6 +324,8 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             table_fallback: None,
             shard_fallback: None,
             channel_flits: vec![0; topo.num_channels()],
+            released_epoch: vec![0; topo.num_nodes()],
+            requesters_evaluated: 0,
             in_flight: Vec::new(),
             stranded_count: 0,
             table,
@@ -440,7 +457,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         id
     }
 
-    /// Stops Poisson generation (used while draining).
+    /// Stops traffic generation, Poisson or MMPP (used while draining).
     pub fn disable_generation(&mut self) {
         self.generation_enabled = false;
     }
@@ -457,11 +474,28 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     /// Panics if `channel` is out of range.
     pub fn fail_channel(&mut self, channel: ChannelId) {
         self.faulty[channel.index()] = true;
+        self.unpark_all();
     }
 
     /// Returns a failed channel to service.
     pub fn repair_channel(&mut self, channel: ChannelId) {
         self.faulty[channel.index()] = false;
+        self.unpark_all();
+    }
+
+    /// Wakes every parked header for the next arbitration: a service-bit
+    /// change can alter any header's pruned permitted set or candidates.
+    fn unpark_all(&mut self) {
+        self.released_epoch.fill(self.cycle + 1);
+    }
+
+    /// Requesters arbitration has routed, sorted and tested so far — a
+    /// deterministic work counter, a function of configuration and seed
+    /// at any shard count. Runs that cannot park blocked headers (an
+    /// attached observer, `Random` selection) count far more.
+    #[must_use]
+    pub fn requesters_evaluated(&self) -> u64 {
+        self.requesters_evaluated
     }
 
     /// `true` if `channel` is currently failed.
@@ -511,6 +545,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     /// flips the channel's service bit and notifies the observer. Events
     /// take effect before this cycle's routing and arbitration.
     fn apply_due_faults(&mut self) {
+        let first_due = self.fault_cursor;
         while let Some(&ev) = self.fault_events.get(self.fault_cursor) {
             if ev.cycle > self.cycle {
                 break;
@@ -522,6 +557,9 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             } else {
                 self.obs.channel_repaired(self.cycle, ev.channel);
             }
+        }
+        if self.fault_cursor != first_due {
+            self.unpark_all();
         }
     }
 
@@ -779,23 +817,54 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         n
     }
 
+    /// Why arbitration must visit every requester every cycle in one
+    /// global sequence, if it must: an observer receives `packet_blocked`
+    /// per blocked requester per cycle in priority order, and the
+    /// `Random` policies draw RNG per requester. Such runs can neither
+    /// be sharded nor park blocked headers; both read this predicate.
+    fn per_requester_effects(&self) -> Option<&'static str> {
+        if O::ENABLED {
+            Some("observer attached")
+        } else if self.config.input_selection == InputSelection::Random {
+            Some("Random input selection draws RNG during arbitration")
+        } else if self.config.output_selection == OutputSelection::Random {
+            Some("Random output selection draws RNG during arbitration")
+        } else {
+            None
+        }
+    }
+
+    /// `true` if `id`'s header was found blocked after the last release
+    /// at its router `head`: re-evaluating it would find the same
+    /// permitted set and busy channels. Never true in runs that stamp
+    /// nothing (blocked stamps stay 0).
+    #[inline]
+    fn is_parked(&self, id: PacketId, head: usize) -> bool {
+        self.lanes.blocked[id.0 as usize] > self.released_epoch[head]
+    }
+
     /// Appends the cycle's requesters whose head node index lies in
-    /// `[lo, hi)`: in-flight headers not yet at their destination and
-    /// not stranded, plus each node's queue head if the injection
-    /// channel is free. The serial path passes the full node range;
-    /// shards pass their partition. Order within `out` is in-flight
-    /// order then node order — the caller sorts (or shuffles) before
-    /// granting.
+    /// `[lo, hi)`: in-flight headers not yet at their destination, not
+    /// stranded and not parked, plus each node's unparked queue head if
+    /// the injection channel is free. The serial path passes the full
+    /// node range; shards pass their partition. Order within `out` is
+    /// in-flight order then node order — the caller sorts (or shuffles)
+    /// before granting.
     fn collect_requesters(&self, lo: usize, hi: usize, out: &mut Vec<PacketId>) {
         out.extend(self.in_flight.iter().copied().filter(|&id| {
             let i = id.0 as usize;
             let head = self.lanes.head_node[i];
-            (lo..hi).contains(&head.index()) && head != self.lanes.dst[i] && !self.lanes.stranded[i]
+            (lo..hi).contains(&head.index())
+                && head != self.lanes.dst[i]
+                && !self.lanes.stranded[i]
+                && !self.is_parked(id, head.index())
         }));
         for node in lo..hi {
             if self.injecting[node].is_none() {
                 if let Some(&head) = self.queues[node].front() {
-                    out.push(head);
+                    if !self.is_parked(head, node) {
+                        out.push(head);
+                    }
                 }
             }
         }
@@ -873,6 +942,8 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         let mut requesters = std::mem::take(&mut self.scratch.requesters);
         requesters.clear();
         self.collect_requesters(0, self.topo.num_nodes(), &mut requesters);
+        self.requesters_evaluated += requesters.len() as u64;
+        let park = self.per_requester_effects().is_none();
 
         // Input selection: a global priority order implements the local
         // policy at every contested channel. The sort keys end in the
@@ -918,6 +989,8 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
                     {
                         self.obs.packet_blocked(self.cycle, id, head, wanted);
                     }
+                } else if park {
+                    self.lanes.blocked[id.0 as usize] = epoch;
                 }
                 continue;
             }
@@ -1016,6 +1089,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         self.lanes.head_node[idx] = ch.dst;
         self.lanes.arrived[idx] = Some(ch.dir);
         self.lanes.head_arrival[idx] = cycle + 1;
+        self.lanes.blocked[idx] = 0;
         if let Some(from) = from_dir {
             // The turn happened at the channel's source router.
             self.obs.turn_taken(cycle, id, ch.src, from, ch.dir);
@@ -1077,6 +1151,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             let t = tail.index();
             self.channel_owner[t] = None;
             self.channel_busy[t >> 6] &= !(1u64 << (t & 63));
+            self.released_epoch[self.topo.channel(tail).src.index()] = self.cycle + 1;
             self.obs.channel_released(self.cycle, id, tail);
         }
     }
@@ -1387,6 +1462,10 @@ mod tests {
         assert_eq!(format!("{r1:?}"), format!("{rn:?}"));
         assert_eq!(serial.cycle(), sharded.cycle());
         assert_eq!(serial.channel_utilization(), sharded.channel_utilization());
+        assert_eq!(
+            serial.requesters_evaluated(),
+            sharded.requesters_evaluated()
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 
 use super::{RunOutcome, SimReport, Simulation, MAX_DIRS};
-use crate::config::{InputSelection, OutputSelection};
+use crate::config::InputSelection;
 use crate::obs::SimObserver;
 use crate::packet::PacketId;
 use turnroute_topology::ChannelId;
@@ -37,6 +37,9 @@ struct ShardScratch {
     grants: Vec<(PacketId, ChannelId)>,
     /// Headers whose pruned direction set came up permanently empty.
     newly_stranded: Vec<PacketId>,
+    /// Headers found with a non-empty permitted set and no free
+    /// in-service candidate: the merge stamps them parked.
+    newly_blocked: Vec<PacketId>,
     /// Shard-local epoch-stamped "granted this cycle" marks (see
     /// [`super::Scratch::granted_epoch`]).
     granted_epoch: Vec<u64>,
@@ -91,19 +94,11 @@ impl<'a, O: SimObserver + Send + Sync> Simulation<'a, O> {
         if requested <= 1 {
             return 1;
         }
-        if O::ENABLED {
-            // `packet_blocked` fires per requester *during* arbitration,
-            // in global priority order; splitting that stream would
-            // reorder observed runs.
-            self.shard_fallback = Some("observer attached");
-            return 1;
-        }
-        if self.config.input_selection == InputSelection::Random {
-            self.shard_fallback = Some("Random input selection draws RNG during arbitration");
-            return 1;
-        }
-        if self.config.output_selection == OutputSelection::Random {
-            self.shard_fallback = Some("Random output selection draws RNG during arbitration");
+        // Per-requester observer events and RNG draws happen *during*
+        // arbitration, in global priority order; splitting that stream
+        // would reorder it.
+        self.shard_fallback = self.per_requester_effects();
+        if self.shard_fallback.is_some() {
             return 1;
         }
         requested
@@ -124,6 +119,7 @@ impl<'a, O: SimObserver + Send + Sync> Simulation<'a, O> {
                     requesters: Vec::new(),
                     grants: Vec::new(),
                     newly_stranded: Vec::new(),
+                    newly_blocked: Vec::new(),
                     granted_epoch: vec![0; num_channels],
                 })
             })
@@ -210,6 +206,7 @@ impl<'a, O: SimObserver + Send + Sync> Simulation<'a, O> {
         self.sort_requesters(&mut out.requesters);
         out.grants.clear();
         out.newly_stranded.clear();
+        out.newly_blocked.clear();
         let epoch = self.cycle + 1;
         let mut candidates = [ChannelId::new(0); MAX_DIRS];
         for &id in &out.requesters {
@@ -218,7 +215,9 @@ impl<'a, O: SimObserver + Send + Sync> Simulation<'a, O> {
                 // Candidate channels all exit the head node, so "free"
                 // here can only be invalidated by an earlier grant in
                 // *this* shard — which the epoch marks below record.
-                if permitted.is_empty() && self.strands_permanently(id) {
+                if !permitted.is_empty() {
+                    out.newly_blocked.push(id);
+                } else if self.strands_permanently(id) {
                     out.newly_stranded.push(id);
                 }
                 continue;
@@ -248,6 +247,10 @@ impl<'a, O: SimObserver + Send + Sync> Simulation<'a, O> {
             for &id in &out.newly_stranded {
                 self.strand(id);
             }
+            for &id in &out.newly_blocked {
+                self.lanes.blocked[id.0 as usize] = self.cycle + 1;
+            }
+            self.requesters_evaluated += out.requesters.len() as u64;
         }
         match self.config.input_selection {
             InputSelection::FirstComeFirstServed => {

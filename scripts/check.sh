@@ -33,6 +33,13 @@ cargo test -q -p turnroute-serve --test server_integration
 echo "==> cargo bench --no-run (bench targets must compile)"
 cargo bench --workspace --no-run --quiet
 
+echo "==> perfbench tests (the benchmark package must still build against and agree with the product)"
+# perfbench/ is its own workspace, so `cargo test --workspace` above
+# never compiles it: a product API change could break the suite a PR is
+# judged by. Its --quick smokes run the table on/off, serial/sharded
+# and traced/untraced digest gates on every workload.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> traffic smoke (MMPP + trace pattern, bytes identical at 1 vs 8 threads)"
 # Bursty arrivals and trace-driven destinations draw all injection
 # randomness from per-node nested streams, so the sweep report must be
