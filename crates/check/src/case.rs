@@ -510,8 +510,8 @@ impl ConformanceCase {
         if !self.pattern.supports(&self.topo) {
             return Err(format!("{} is not defined on {}", self.pattern, self.topo));
         }
-        if !(self.load > 0.0 && self.load <= 0.5) {
-            return Err(format!("load must be in (0, 0.5], got {}", self.load));
+        if !(self.load > 0.0 && self.load <= 2.0) {
+            return Err(format!("load must be in (0, 2], got {}", self.load));
         }
         if let TrafficModel::Mmpp {
             burst_cycles,

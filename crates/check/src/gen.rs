@@ -86,6 +86,10 @@ const PATTERNS: &[PatternSpec] = &[
     PatternSpec::Shuffle,
 ];
 
+/// Offered load of the high-rate cases: with `Fixed(1)` lengths the
+/// mean inter-arrival time is 0.8 cycles.
+const HIGH_RATE_LOAD: f64 = 1.25;
+
 /// Draws one case from `rng`. Always returns a case that passes
 /// [`ConformanceCase::validate`].
 pub fn generate_case(rng: &mut StdRng) -> ConformanceCase {
@@ -113,8 +117,11 @@ pub fn generate_case(rng: &mut StdRng) -> ConformanceCase {
         choose(rng, &patterns)
     };
     // The top two loads are far past saturation on every topology
-    // here, so those cases spend their windows with headers blocked.
-    let load = choose(rng, &[0.01, 0.02, 0.05, 0.08, 0.12, 0.25, 0.40]);
+    // here, so those cases spend their windows with headers blocked;
+    // at the bottom one most nodes sit idle for hundreds of cycles
+    // between arrivals, which is where the engine's wake-up schedule
+    // skips the most.
+    let load = choose(rng, &[0.001, 0.01, 0.02, 0.05, 0.08, 0.12, 0.25, 0.40]);
     // A quarter of the cases inject through the bursty on-off arrival
     // process instead of the legacy Poisson stream.
     let traffic = if rng.random_bool(0.25) {
@@ -128,12 +135,21 @@ pub fn generate_case(rng: &mut StdRng) -> ConformanceCase {
     let lengths = choose(
         rng,
         &[
+            LengthSpec::Fixed(1),
             LengthSpec::Fixed(4),
             LengthSpec::Fixed(16),
             LengthSpec::Bimodal(2, 16),
             LengthSpec::Bimodal(10, 200),
         ],
     );
+    // The other end of the schedule: single-flit messages arriving
+    // faster than one per node per cycle, so every node is due every
+    // cycle and one poll emits several messages.
+    let load = if lengths == LengthSpec::Fixed(1) && rng.random_bool(0.5) {
+        HIGH_RATE_LOAD
+    } else {
+        load
+    };
     let input = choose(
         rng,
         &[
@@ -227,6 +243,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let (mut mesh, mut torus, mut cube, mut graph, mut faulted) = (0, 0, 0, 0, 0);
         let (mut mmpp, mut traced) = (0, 0);
+        let (mut idle, mut high_rate) = (0, 0);
         for _ in 0..400 {
             let case = generate_case(&mut rng);
             match case.topo {
@@ -244,7 +261,18 @@ mod tests {
             if matches!(case.pattern, PatternSpec::Trace { .. }) {
                 traced += 1;
             }
+            if case.load == 0.001 {
+                idle += 1;
+            }
+            if case.load == HIGH_RATE_LOAD {
+                assert_eq!(case.lengths, LengthSpec::Fixed(1));
+                high_rate += 1;
+            }
         }
+        assert!(
+            idle > 20 && high_rate > 20,
+            "idle {idle} high-rate {high_rate}: both ends of the wake-up schedule must be exercised"
+        );
         assert!(
             mesh > 50 && torus > 30 && cube > 30 && graph > 30 && faulted > 30,
             "mesh {mesh} torus {torus} cube {cube} graph {graph} faulted {faulted}"

@@ -16,6 +16,14 @@
 //!   [`ExecProgress`] surface, so `GET /v1/jobs/{id}` reports live
 //!   per-cell progress and `DELETE /v1/jobs/{id}` cancels.
 //!
+//! # Job retention
+//!
+//! The job table is bounded: only the most recent
+//! [`RETAINED_TERMINAL_JOBS`] finished (done, failed or cancelled) jobs
+//! stay queryable. An older id answers 404 exactly like one that never
+//! existed; its result is still in the store, so resubmitting the spec
+//! is a store hit. Queued and running jobs are never forgotten.
+//!
 //! # Cache keying
 //!
 //! The store key is [`ExperimentSpec::fingerprint`] (which already
@@ -105,9 +113,15 @@ struct Job {
     error: Option<String>,
 }
 
+/// Finished jobs kept for status and result queries. A long-lived
+/// server otherwise holds every spec it ever ran (about 1 KiB each).
+pub const RETAINED_TERMINAL_JOBS: usize = 256;
+
 #[derive(Default)]
 struct Inner {
     jobs: HashMap<String, Job>,
+    /// Ids of terminal jobs still in `jobs`, oldest first.
+    finished: VecDeque<String>,
     /// Content key → job id, for coalescing in-flight duplicates.
     inflight: HashMap<String, String>,
     queue: VecDeque<String>,
@@ -133,6 +147,8 @@ struct Counters {
     /// stays flat across store hits — the acceptance proof that cached
     /// submissions cost zero engine cycles.
     engine_cells_simulated: AtomicU64,
+    /// Finished jobs dropped from the table by the retention bound.
+    jobs_evicted: AtomicU64,
 }
 
 /// Scrape-side aggregates that are histograms or labeled families
@@ -155,6 +171,19 @@ struct State {
     counters: Counters,
     metrics: ServiceMetrics,
     log: Logger,
+}
+
+impl State {
+    /// Records that job `id` reached a terminal state, and forgets the
+    /// oldest finished jobs beyond the retention bound.
+    fn retire(&self, inner: &mut Inner, id: &str) {
+        inner.finished.push_back(id.to_owned());
+        while inner.finished.len() > RETAINED_TERMINAL_JOBS {
+            let oldest = inner.finished.pop_front().expect("length checked");
+            inner.jobs.remove(&oldest);
+            self.counters.jobs_evicted.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// The job server. Construct with [`Server::start`].
@@ -265,9 +294,13 @@ fn run_jobs(state: &State) {
             let mut inner = state.inner.lock().expect("server poisoned");
             loop {
                 if let Some(id) = inner.queue.pop_front() {
-                    let job = inner.jobs.get_mut(&id).expect("queued jobs exist");
+                    // Cancelled while waiting: terminal already, and
+                    // possibly evicted since.
+                    let Some(job) = inner.jobs.get_mut(&id) else {
+                        continue;
+                    };
                     if job.status != JobStatus::Queued {
-                        continue; // cancelled while waiting
+                        continue;
                     }
                     job.status = JobStatus::Running;
                     break (
@@ -365,10 +398,10 @@ fn run_jobs(state: &State) {
 
         let mut inner = state.inner.lock().expect("server poisoned");
         inner.inflight.remove(&key);
-        if let Some(job) = inner.jobs.get_mut(&id) {
-            job.status = status;
-            job.error = error;
-        }
+        let job = inner.jobs.get_mut(&id).expect("running jobs are retained");
+        job.status = status;
+        job.error = error;
+        state.retire(&mut inner, &id);
     }
 }
 
@@ -512,10 +545,11 @@ fn cache_stats(state: &State) -> Response {
     let entries = state.store.len().unwrap_or(0);
     let store_bytes = state.store.total_bytes().unwrap_or(0);
     let c = &state.counters;
+    let jobs = state.inner.lock().expect("server poisoned").jobs.len();
     let body = format!(
         "{{\"entries\":{},\"jobs_submitted\":{},\"coalesced\":{},\"store_hits\":{},\
          \"store_misses\":{},\"corrupt_detected\":{},\"engine_cells_simulated\":{},\
-         \"store_bytes\":{},\"corrupt_healed\":{}}}\n",
+         \"store_bytes\":{},\"corrupt_healed\":{},\"jobs\":{jobs}}}\n",
         entries,
         c.jobs_submitted.load(Ordering::Acquire),
         c.coalesced.load(Ordering::Acquire),
@@ -597,6 +631,16 @@ fn metrics_page(state: &State) -> Response {
             counter.load(Ordering::Acquire),
         );
     }
+    e.family(
+        "turnroute_jobs_evicted_total",
+        "Finished jobs dropped from the job table by the retention bound.",
+        "counter",
+    );
+    e.sample(
+        "turnroute_jobs_evicted_total",
+        &[],
+        c.jobs_evicted.load(Ordering::Relaxed),
+    );
     e.duration_histogram(
         "turnroute_job_duration_seconds",
         "Wall time of executed (non-cached) jobs.",
@@ -796,6 +840,7 @@ fn submit(request: &Request, state: &State, span: &str) -> Response {
     };
     inner.jobs.insert(id.clone(), job);
     if served_from_store {
+        state.retire(&mut inner, &id);
         state
             .log
             .event(Level::Info, "job_done")
@@ -910,6 +955,7 @@ fn cancel_job(id: &str, state: &State) -> Response {
             job.progress.cancel();
             let key = job.key.clone();
             inner.inflight.remove(&key);
+            state.retire(&mut inner, id);
             state.counters.jobs_cancelled.fetch_add(1, Ordering::AcqRel);
             state
                 .log

@@ -31,6 +31,16 @@ fn small_spec() -> ExperimentSpec {
         .expect("spec resolves")
 }
 
+fn small_spec_with_seed(seed: u64) -> String {
+    ExperimentSpec::builder("mesh:6x6", "transpose")
+        .algorithm("xy")
+        .loads(&[0.02])
+        .config(quick().seed(seed))
+        .build()
+        .expect("spec resolves")
+        .to_json()
+}
+
 fn start(tag: &str) -> (ServerHandle, String, PathBuf) {
     let store_dir =
         std::env::temp_dir().join(format!("turnroute-serve-test-{tag}-{}", std::process::id()));
@@ -174,6 +184,88 @@ fn identical_resubmission_hits_the_store_with_zero_engine_cycles() {
     );
     assert_eq!(stat(&after, "store_hits"), 1);
     assert_eq!(stat(&after, "entries"), 1);
+
+    handle.shutdown();
+}
+
+#[test]
+fn the_job_table_keeps_only_the_most_recent_finished_jobs() {
+    use turnroute_serve::server::RETAINED_TERMINAL_JOBS;
+    let (handle, addr, _store) = start("eviction");
+    let spec_json = small_spec().to_json();
+
+    let (_, doc) = submit_ok(&addr, &spec_json);
+    let first_id = str_field(&doc, "job_id").to_owned();
+    wait_done(&addr, &first_id);
+    let (_, body) = client::fetch(&addr, &first_id).unwrap();
+
+    // Every resubmission is a store hit: a new job, born finished.
+    let mut last_id = String::new();
+    for _ in 0..RETAINED_TERMINAL_JOBS + 10 {
+        let (status, doc) = submit_ok(&addr, &spec_json);
+        assert_eq!(status, 200);
+        last_id = str_field(&doc, "job_id").to_owned();
+    }
+
+    // The oldest job is forgotten exactly like an id never issued...
+    let (status, gone) = client::status(&addr, &first_id).unwrap();
+    assert_eq!(status, 404, "{}", String::from_utf8_lossy(&gone));
+    let (_, unknown) = client::status(&addr, "j999999").unwrap();
+    assert_eq!(gone, unknown);
+    assert_eq!(client::fetch(&addr, &first_id).unwrap().0, 404);
+    // ...the newest is served, with the same bytes the first one had.
+    assert_eq!(client::status(&addr, &last_id).unwrap().0, 200);
+    assert_eq!(client::fetch(&addr, &last_id).unwrap(), (200, body));
+
+    let after = stats(&addr);
+    assert_eq!(stat(&after, "jobs"), RETAINED_TERMINAL_JOBS as u64);
+    let (_, page) = client::metrics(&addr).unwrap();
+    let page = String::from_utf8(page).unwrap();
+    assert!(page.contains("turnroute_jobs_evicted_total 11\n"), "{page}");
+
+    handle.shutdown();
+}
+
+#[test]
+fn a_cancelled_queued_job_may_be_evicted_before_the_runner_reaches_it() {
+    use turnroute_serve::server::RETAINED_TERMINAL_JOBS;
+    let (handle, addr, _store) = start("evictqueued");
+    let cached_json = small_spec().to_json();
+    let (_, doc) = submit_ok(&addr, &cached_json);
+    wait_done(&addr, str_field(&doc, "job_id"));
+
+    // A long job occupies the single runner while a second one waits in
+    // the queue and is cancelled there.
+    let long = |seed: u64| {
+        ExperimentSpec::builder("mesh:8x8", "transpose")
+            .algorithm("xy")
+            .algorithm("west-first")
+            .loads(&[0.02, 0.04, 0.06, 0.08])
+            .config(quick().measure_cycles(60_000).seed(seed))
+            .build()
+            .expect("spec resolves")
+            .to_json()
+    };
+    let (_, running) = submit_ok(&addr, &long(1));
+    let (_, waiting) = submit_ok(&addr, &long(2));
+    let waiting_id = str_field(&waiting, "job_id").to_owned();
+    let (status, _) = client::cancel(&addr, &waiting_id).unwrap();
+    assert_eq!(status, 200);
+
+    // Store hits push the cancelled job out of the table while its id
+    // still sits in the run queue.
+    for _ in 0..RETAINED_TERMINAL_JOBS {
+        assert_eq!(submit_ok(&addr, &cached_json).0, 200);
+    }
+    assert_eq!(client::status(&addr, &waiting_id).unwrap().0, 404);
+
+    // The runner must skip the forgotten id and keep serving.
+    let running_id = str_field(&running, "job_id").to_owned();
+    client::cancel(&addr, &running_id).unwrap();
+    wait_done(&addr, &running_id);
+    let (_, next) = submit_ok(&addr, &small_spec_with_seed(9));
+    let next = wait_done(&addr, str_field(&next, "job_id"));
+    assert_eq!(str_field(&next, "status"), "done");
 
     handle.shutdown();
 }

@@ -31,8 +31,6 @@ struct Scratch {
     requesters: Vec<PacketId>,
     /// `(packet, channel)` grants flowing from arbitration to advance.
     grants: Vec<(PacketId, ChannelId)>,
-    /// In-flight headers parked at their destination this cycle.
-    at_dest: Vec<PacketId>,
     /// Channel-granted set, epoch-stamped: entry `c` holds `cycle + 1`
     /// if `c` was granted this cycle (0 = never granted), so "clearing"
     /// it is free.
@@ -170,6 +168,10 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     /// Total packets across all source queues, maintained on push/pop
     /// so drain checks and queue sampling are O(1) instead of O(nodes).
     queued_total: usize,
+    /// One bit per node (64 nodes per word), set exactly while the
+    /// node's source queue is non-empty: requester collection walks the
+    /// set bits instead of probing every queue.
+    queue_nonempty: Vec<u64>,
     /// Per-node packet currently streaming flits from the source.
     injecting: Vec<Option<PacketId>>,
     /// Per-node packet currently streaming flits into the local
@@ -212,8 +214,14 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     released_epoch: Vec<u64>,
     /// Requesters arbitration evaluated, summed over all cycles.
     requesters_evaluated: u64,
+    /// Nodes handed to the traffic source's per-node `poll`, summed
+    /// over all cycles.
+    sources_polled: u64,
     /// Packets currently in flight.
     in_flight: Vec<PacketId>,
+    /// In-flight packets whose header sits at its destination: pushed
+    /// by the hop that lands there, removed on delivery.
+    at_dest: Vec<PacketId>,
     /// Packets the routing relation stranded (each flagged on its
     /// [`Packet::is_stranded`]; stranded packets stay in flight
     /// forever, so this never decreases).
@@ -312,6 +320,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             },
             queues: vec![VecDeque::new(); topo.num_nodes()],
             queued_total: 0,
+            queue_nonempty: vec![0; topo.num_nodes().div_ceil(64)],
             injecting: vec![None; topo.num_nodes()],
             ejecting: vec![None; topo.num_nodes()],
             channel_owner: vec![None; topo.num_channels()],
@@ -326,13 +335,14 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             channel_flits: vec![0; topo.num_channels()],
             released_epoch: vec![0; topo.num_nodes()],
             requesters_evaluated: 0,
+            sources_polled: 0,
             in_flight: Vec::new(),
+            at_dest: Vec::new(),
             stranded_count: 0,
             table,
             scratch: Scratch {
                 requesters: Vec::new(),
                 grants: Vec::new(),
-                at_dest: Vec::new(),
                 granted_epoch: vec![0; topo.num_channels()],
                 messages: Vec::new(),
             },
@@ -433,6 +443,9 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             self.queued_total,
             self.queues.iter().map(VecDeque::len).sum::<usize>()
         );
+        debug_assert!(self.queues.iter().enumerate().all(|(node, q)| {
+            q.is_empty() == (self.queue_nonempty[node >> 6] & (1u64 << (node & 63)) == 0)
+        }));
         self.queued_total
     }
 
@@ -449,6 +462,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         self.lanes.push(src, dst, self.cycle);
         self.queues[src.index()].push_back(id);
         self.queued_total += 1;
+        self.queue_nonempty[src.index() >> 6] |= 1u64 << (src.index() & 63);
         self.total_generated += 1;
         if self.in_window() {
             self.metrics.messages_generated += 1;
@@ -496,6 +510,16 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     #[must_use]
     pub fn requesters_evaluated(&self) -> u64 {
         self.requesters_evaluated
+    }
+
+    /// Nodes handed to the traffic source's per-node `poll` so far — the
+    /// second deterministic work counter: generation polls only the
+    /// nodes whose next arrival (or MMPP toggle) is due, so this tracks
+    /// messages generated, not nodes x cycles. A function of
+    /// configuration and seed at any shard count, observed or not.
+    #[must_use]
+    pub fn sources_polled(&self) -> u64 {
+        self.sources_polled
     }
 
     /// `true` if `channel` is currently failed.
@@ -649,12 +673,12 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         // are disjoint fields.
         let mut messages = std::mem::take(&mut self.scratch.messages);
         messages.clear();
-        for node in 0..self.topo.num_nodes() {
-            let (source, rng) = (&mut self.source, &mut self.rng);
-            source.poll(node, self.cycle, rng, |len| {
+        let polled = self
+            .source
+            .poll_due(self.cycle, &mut self.rng, |node, len| {
                 messages.push((NodeId::new(node), len));
             });
-        }
+        self.sources_polled += polled as u64;
         for &(src, len) in &messages {
             if let Some(dst) = self.pattern.dest(self.topo, src, &mut self.rng) {
                 self.inject_message(src, dst, len);
@@ -847,9 +871,11 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     /// `[lo, hi)`: in-flight headers not yet at their destination, not
     /// stranded and not parked, plus each node's unparked queue head if
     /// the injection channel is free. The serial path passes the full
-    /// node range; shards pass their partition. Order within `out` is
-    /// in-flight order then node order — the caller sorts (or shuffles)
-    /// before granting.
+    /// node range; shards pass their partition (a boundary may split a
+    /// 64-node word of `queue_nonempty`; the masks below keep each
+    /// shard to its own bits). Order within `out` is in-flight order
+    /// then node order — the caller sorts (or shuffles) before
+    /// granting.
     fn collect_requesters(&self, lo: usize, hi: usize, out: &mut Vec<PacketId>) {
         out.extend(self.in_flight.iter().copied().filter(|&id| {
             let i = id.0 as usize;
@@ -859,9 +885,19 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
                 && !self.lanes.stranded[i]
                 && !self.is_parked(id, head.index())
         }));
-        for node in lo..hi {
-            if self.injecting[node].is_none() {
-                if let Some(&head) = self.queues[node].front() {
+        for word in (lo >> 6)..hi.div_ceil(64) {
+            let mut bits = self.queue_nonempty[word];
+            if word == lo >> 6 {
+                bits &= !0u64 << (lo & 63);
+            }
+            if word == hi >> 6 {
+                bits &= (1u64 << (hi & 63)) - 1;
+            }
+            while bits != 0 {
+                let node = (word << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.injecting[node].is_none() {
+                    let head = self.queues[node][0];
                     if !self.is_parked(head, node) {
                         out.push(head);
                     }
@@ -1021,24 +1057,23 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         // router has a single ejection channel, held by one packet until
         // its tail passes; contenders wait (local FCFS by header
         // arrival). Unstable sort: the key ends in the unique id.
-        let mut at_dest = std::mem::take(&mut self.scratch.at_dest);
-        at_dest.clear();
-        at_dest.extend(self.in_flight.iter().copied().filter(|&id| {
-            let i = id.0 as usize;
-            self.lanes.head_node[i] == self.lanes.dst[i]
-        }));
+        // The list is detached for the loop (delivery drops entries);
+        // headers landing on their destination through this cycle's
+        // grants join it below and first consume next cycle.
+        let mut at_dest = std::mem::take(&mut self.at_dest);
         at_dest.sort_unstable_by_key(|&id| self.fcfs_key(id));
-        for &id in &at_dest {
-            let node = self.packets[id.0 as usize].dst.index();
+        at_dest.retain(|&id| {
+            let node = self.lanes.dst[id.0 as usize].index();
             match self.ejecting[node] {
                 None => self.ejecting[node] = Some(id),
                 Some(holder) if holder == id => {}
-                Some(_) => continue, // ejection channel busy
+                Some(_) => return true, // ejection channel busy
             }
-            self.consume_one_flit(id);
             progressed = true;
-        }
-        self.scratch.at_dest = at_dest;
+            let delivered = self.consume_one_flit(id);
+            !delivered
+        });
+        self.at_dest = at_dest;
 
         let grants = std::mem::take(&mut self.scratch.grants);
         for &(id, channel) in &grants {
@@ -1061,6 +1096,9 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             let front = self.queues[node].pop_front();
             debug_assert_eq!(front, Some(id));
             self.queued_total -= 1;
+            if self.queues[node].is_empty() {
+                self.queue_nonempty[node >> 6] &= !(1u64 << (node & 63));
+            }
             self.injecting[node] = Some(id);
             self.packets[id.0 as usize].injected_at = Some(self.cycle);
             self.in_flight.push(id);
@@ -1090,6 +1128,9 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         self.lanes.arrived[idx] = Some(ch.dir);
         self.lanes.head_arrival[idx] = cycle + 1;
         self.lanes.blocked[idx] = 0;
+        if ch.dst == self.lanes.dst[idx] {
+            self.at_dest.push(id);
+        }
         if let Some(from) = from_dir {
             // The turn happened at the channel's source router.
             self.obs.turn_taken(cycle, id, ch.src, from, ch.dir);
@@ -1099,7 +1140,9 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         self.shift_tail(id);
     }
 
-    fn consume_one_flit(&mut self, id: PacketId) {
+    /// Consumes one flit of `id` at its destination; returns `true` if
+    /// that was the tail flit (the packet is delivered).
+    fn consume_one_flit(&mut self, id: PacketId) -> bool {
         self.note_delivered_flit();
         let p = &mut self.packets[id.0 as usize];
         p.flits_consumed += 1;
@@ -1109,6 +1152,10 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         if done {
             let p = &mut self.packets[id.0 as usize];
             debug_assert_eq!(p.worm_head, p.worm.len(), "delivered with flits in flight");
+            // Every channel is released: give the chain's storage back
+            // rather than keep it for the rest of the run.
+            p.worm = Vec::new();
+            p.worm_head = 0;
             p.delivered_at = Some(self.cycle);
             let dst = p.dst.index();
             if self.ejecting[dst] == Some(id) {
@@ -1128,6 +1175,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
                 self.metrics.hop_counts.push(hops);
             }
         }
+        done
     }
 
     /// After the worm moved one step at the head (new channel or
@@ -1466,6 +1514,7 @@ mod tests {
             serial.requesters_evaluated(),
             sharded.requesters_evaluated()
         );
+        assert_eq!(serial.sources_polled(), sharded.sources_polled());
     }
 
     #[test]
@@ -1515,6 +1564,69 @@ mod tests {
             .output_selection(OutputSelection::StraightFirst)
             .seed(5);
         assert_shards_invisible(&mesh, &NegativeFirst::minimal(), config, 4);
+    }
+
+    #[test]
+    fn shard_boundaries_inside_a_ready_set_word_match_serial() {
+        // 25 and 81 nodes at 2 and 3 shards: every boundary (13; 9, 17;
+        // 41; 27, 54) falls inside a 64-node word of the ready set, and
+        // 81 nodes leave the last word partly used.
+        let config = SimConfig::paper()
+            .injection_rate(0.10)
+            .warmup_cycles(100)
+            .measure_cycles(1_500)
+            .seed(13);
+        for side in [5, 9] {
+            let mesh = Mesh::new_2d(side, side);
+            for shards in [2, 3] {
+                assert_shards_invisible(&mesh, &WestFirst::minimal(), config.clone(), shards);
+            }
+        }
+    }
+
+    #[test]
+    fn message_injected_mid_run_requests_on_the_next_step() {
+        let mesh = Mesh::new_2d(4, 4);
+        let algo = DimensionOrder::new();
+        let mut sim = Simulation::new(&mesh, &algo, &Uniform, quiet_config());
+        let src = mesh.node_at(&[1, 1].into());
+        let first = sim.inject_message(src, mesh.node_at(&[3, 1].into()), 2);
+        for _ in 0..20 {
+            sim.step();
+            // Also checks the ready set against the queues (debug
+            // builds).
+            assert_eq!(sim.queued_messages(), 0);
+        }
+        assert_eq!(sim.packet(first).state(), PacketState::Delivered);
+        assert_eq!(sim.queued_messages(), 0);
+        // The node's queue emptied and its bit cleared; a new message
+        // must set it again and be granted at the very next step.
+        let second = sim.inject_message(src, mesh.node_at(&[1, 3].into()), 2);
+        assert_eq!(sim.queued_messages(), 1);
+        sim.step();
+        assert_eq!(sim.packet(second).state(), PacketState::InFlight);
+        assert_eq!(sim.queued_messages(), 0);
+    }
+
+    #[test]
+    fn delivered_packets_give_their_worm_storage_back() {
+        let mesh = Mesh::new_2d(4, 4);
+        let algo = DimensionOrder::new();
+        let mut sim = Simulation::new(&mesh, &algo, &Uniform, quiet_config());
+        let id = sim.inject_message(
+            mesh.node_at(&[0, 0].into()),
+            mesh.node_at(&[3, 3].into()),
+            5,
+        );
+        for _ in 0..40 {
+            sim.step();
+        }
+        let p = sim.packet(id);
+        assert_eq!(p.state(), PacketState::Delivered);
+        assert_eq!(p.hops(), 6);
+        assert!(p.worm().is_empty());
+        assert_eq!(p.flits_in_network(), 0);
+        assert_eq!(p.worm.capacity(), 0);
     }
 
     #[test]

@@ -7,8 +7,17 @@
 //! stream is bit-identical between them *by construction*. The source
 //! IS the specification of that stream: any change here changes both
 //! sides at once.
+//!
+//! Per-node [`TrafficSource::poll`] is that specification. Engines call
+//! [`TrafficSource::poll_due`], which polls only the nodes whose next
+//! arrival (or MMPP toggle) has come due and therefore costs what
+//! arrives, not what exists; the oracle keeps calling `poll` on every
+//! node every cycle, so every conformance case cross-checks the
+//! schedule against the specification.
 
 use crate::config::{LengthDistribution, SimConfig, TrafficModel};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use turnroute_rng::{split_mix_64, Rng, RngCore, StdRng};
 
 /// Per-node Poisson message source: inter-arrival times are drawn from a
@@ -63,6 +72,13 @@ impl PoissonSource {
         }
     }
 
+    /// The first cycle at which [`PoissonSource::poll`] of `node` does
+    /// anything: the ceiling of its next arrival. `None` at zero rate.
+    fn next_due(&self, node: usize) -> Option<u64> {
+        self.mean_interarrival
+            .map(|_| due_cycle(self.next_arrival[node]))
+    }
+
     /// Draws a message length.
     pub fn sample_length(&self, rng: &mut dyn RngCore) -> u32 {
         match self.lengths {
@@ -76,6 +92,15 @@ impl PoissonSource {
             }
         }
     }
+}
+
+/// The first whole cycle at or after the fractional event time `at`
+/// (saturating: an event beyond `u64::MAX` is never due). Spelled with
+/// a cast and a compare because `f64::ceil` is a libm call on baseline
+/// x86-64 and this runs once per polled node.
+fn due_cycle(at: f64) -> u64 {
+    let whole = at as u64;
+    whole.saturating_add(u64::from((whole as f64) < at))
 }
 
 /// An exponential variate with the given mean, via inverse transform.
@@ -224,6 +249,15 @@ impl MmppSource {
             }
         }
     }
+
+    /// The first cycle at which [`MmppSource::poll`] of `node` does
+    /// anything: the ceiling of its next arrival or toggle, whichever
+    /// comes first. `None` at zero rate.
+    fn next_due(&self, node: usize) -> Option<u64> {
+        let lane = &self.lanes[node];
+        self.on_mean_interarrival
+            .map(|_| due_cycle(lane.next_arrival.min(lane.next_toggle)))
+    }
 }
 
 /// Draws a message length from `lengths` using `rng`.
@@ -240,19 +274,35 @@ fn sample_length(lengths: LengthDistribution, rng: &mut dyn RngCore) -> u32 {
     }
 }
 
-/// The arrival process of one run, dispatching on
-/// [`SimConfig::traffic`](crate::SimConfig).
-///
-/// Both the optimized engine and the conformance oracle build this via
-/// [`TrafficSource::for_config`] with identical arguments, which makes
-/// their arrival/length RNG streams bit-identical by construction.
+/// The per-node arrival process behind a [`TrafficSource`].
 #[derive(Debug, Clone)]
-pub enum TrafficSource {
+enum Arrivals {
     /// Stationary Poisson arrivals on the shared engine stream (the
     /// paper's model; draw-for-draw identical to the pre-axis engine).
     Poisson(PoissonSource),
     /// Bursty on-off arrivals on per-node private streams.
     Mmpp(MmppSource),
+}
+
+/// The arrival process of one run, dispatching on
+/// [`SimConfig::traffic`](crate::SimConfig), plus the wake-up schedule
+/// that lets an engine poll only the nodes with something due.
+///
+/// Both the optimized engine and the conformance oracle build this via
+/// [`TrafficSource::for_config`] with identical arguments, which makes
+/// their arrival/length RNG streams bit-identical by construction.
+#[derive(Debug, Clone)]
+pub struct TrafficSource {
+    arrivals: Arrivals,
+    /// Wake-up schedule: a min-heap holding exactly one `(due cycle,
+    /// node)` entry per generating node, with `due` never later than
+    /// the node's `next_due`. A node whose entry is not yet due would
+    /// draw and emit nothing if polled, so skipping it is exact; an
+    /// entry that is early (the node was polled directly in between)
+    /// only costs a wake that does nothing.
+    wake: BinaryHeap<Reverse<(u64, usize)>>,
+    /// The nodes of one [`TrafficSource::poll_due`] batch (scratch).
+    due: Vec<usize>,
 }
 
 impl TrafficSource {
@@ -262,8 +312,8 @@ impl TrafficSource {
     /// reproduce. For [`TrafficModel::Mmpp`] the shared `rng` is left
     /// untouched; all state derives from per-node streams.
     pub fn for_config(num_nodes: usize, config: &SimConfig, rng: &mut dyn RngCore) -> Self {
-        match config.traffic {
-            TrafficModel::Poisson => TrafficSource::Poisson(PoissonSource::new(
+        let arrivals = match config.traffic {
+            TrafficModel::Poisson => Arrivals::Poisson(PoissonSource::new(
                 num_nodes,
                 config.mean_interarrival_cycles(),
                 config.lengths,
@@ -272,7 +322,7 @@ impl TrafficSource {
             TrafficModel::Mmpp {
                 burst_cycles,
                 idle_cycles,
-            } => TrafficSource::Mmpp(MmppSource::new(
+            } => Arrivals::Mmpp(MmppSource::new(
                 num_nodes,
                 config.mean_interarrival_cycles(),
                 config.lengths,
@@ -280,17 +330,78 @@ impl TrafficSource {
                 idle_cycles,
                 config.seed,
             )),
-        }
+        };
+        let mut source = TrafficSource {
+            arrivals,
+            wake: BinaryHeap::new(),
+            due: Vec::new(),
+        };
+        // One O(nodes) heapify, not a push per node.
+        let mut entries = Vec::with_capacity(num_nodes);
+        entries.extend(
+            (0..num_nodes).filter_map(|node| Some(Reverse((source.next_due(node)?, node)))),
+        );
+        source.wake = BinaryHeap::from(entries);
+        source
     }
 
     /// Calls `emit(length)` once per message node `node` generates up
     /// to and including `cycle`. `rng` is the shared engine stream;
     /// only the Poisson model consumes it.
+    ///
+    /// This is the specification of the arrival stream: a full run is
+    /// `for cycle { for node { poll } }`. It does not consult or update
+    /// the wake-up schedule.
     pub fn poll(&mut self, node: usize, cycle: u64, rng: &mut dyn RngCore, emit: impl FnMut(u32)) {
-        match self {
-            TrafficSource::Poisson(src) => src.poll(node, cycle, rng, emit),
-            TrafficSource::Mmpp(src) => src.poll(node, cycle, emit),
+        match &mut self.arrivals {
+            Arrivals::Poisson(src) => src.poll(node, cycle, rng, emit),
+            Arrivals::Mmpp(src) => src.poll(node, cycle, emit),
         }
+    }
+
+    /// The first cycle at which [`TrafficSource::poll`] of `node` does
+    /// anything (draws, emits or toggles), or `None` if it never will
+    /// (zero rate).
+    fn next_due(&self, node: usize) -> Option<u64> {
+        match &self.arrivals {
+            Arrivals::Poisson(src) => src.next_due(node),
+            Arrivals::Mmpp(src) => src.next_due(node),
+        }
+    }
+
+    /// [`TrafficSource::poll`] of every node, in node order, skipping
+    /// the nodes the schedule shows have nothing due by `cycle`: calls
+    /// `emit(node, length)` exactly as the full `for node { poll }`
+    /// loop would and leaves `rng` in the same state. Returns how many
+    /// nodes were polled.
+    pub fn poll_due(
+        &mut self,
+        cycle: u64,
+        rng: &mut dyn RngCore,
+        mut emit: impl FnMut(usize, u32),
+    ) -> usize {
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        while let Some(&Reverse((at, node))) = self.wake.peek() {
+            if at > cycle {
+                break;
+            }
+            self.wake.pop();
+            due.push(node);
+        }
+        // The heap yields (due cycle, node) order; after skipped cycles
+        // or an early entry one batch mixes due cycles, and the shared
+        // stream must still be drawn in node order.
+        due.sort_unstable();
+        for &node in &due {
+            self.poll(node, cycle, rng, |len| emit(node, len));
+            if let Some(at) = self.next_due(node) {
+                self.wake.push(Reverse((at, node)));
+            }
+        }
+        let polled = due.len();
+        self.due = due;
+        polled
     }
 }
 
@@ -443,7 +554,7 @@ mod tests {
         let base = SimConfig::paper().injection_rate(0.1).seed(11);
         let mut rng = StdRng::seed_from_u64(base.seed);
         let poisson = TrafficSource::for_config(16, &base, &mut rng);
-        assert!(matches!(poisson, TrafficSource::Poisson(_)));
+        assert!(matches!(poisson.arrivals, Arrivals::Poisson(_)));
         let mmpp_cfg = base.clone().traffic(TrafficModel::Mmpp {
             burst_cycles: 100.0,
             idle_cycles: 300.0,
@@ -451,9 +562,169 @@ mod tests {
         let mut rng2 = StdRng::seed_from_u64(mmpp_cfg.seed);
         let before = rng2.clone().next_u64();
         let mmpp = TrafficSource::for_config(16, &mmpp_cfg, &mut rng2);
-        assert!(matches!(mmpp, TrafficSource::Mmpp(_)));
+        assert!(matches!(mmpp.arrivals, Arrivals::Mmpp(_)));
         // MMPP construction must not consume the shared stream.
         assert_eq!(rng2.next_u64(), before);
+    }
+
+    #[test]
+    fn due_cycle_is_a_saturating_ceiling() {
+        for (at, due) in [
+            (0.0, 0),
+            (0.2, 1),
+            (3.0, 3),
+            (3.000_000_1, 4),
+            (9_007_199_254_740_992.0, 9_007_199_254_740_992),
+            (1e30, u64::MAX),
+            (f64::INFINITY, u64::MAX),
+        ] {
+            assert_eq!(due_cycle(at), due, "{at}");
+        }
+    }
+
+    /// `(cycle, node, length)` of every message, plus the next draw of
+    /// the shared stream afterwards.
+    type Emitted = (Vec<(u64, usize, u32)>, u64);
+
+    /// Runs generation over `cycles` twice — the specification's
+    /// `for node { poll }` scan and `poll_due` — with the same direct
+    /// `poll(node, at)` call (if `direct` names one) made before each
+    /// cycle, and asserts both emit the same messages in the same order
+    /// and leave the shared stream in the same state. Returns what was
+    /// emitted and how many nodes the schedule polled.
+    fn assert_schedule_matches_full_scan(
+        nodes: usize,
+        config: &SimConfig,
+        cycles: &[u64],
+        direct: impl Fn(u64) -> Option<(usize, u64)>,
+    ) -> (Emitted, usize) {
+        let run = |scheduled: bool| -> (Emitted, usize) {
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let mut source = TrafficSource::for_config(nodes, config, &mut rng);
+            let mut seen = Vec::new();
+            let mut polled = 0;
+            for &cycle in cycles {
+                if let Some((node, at)) = direct(cycle) {
+                    source.poll(node, at, &mut rng, |len| seen.push((at, node, len)));
+                }
+                if scheduled {
+                    polled += source.poll_due(cycle, &mut rng, |node, len| {
+                        seen.push((cycle, node, len));
+                    });
+                } else {
+                    for node in 0..nodes {
+                        source.poll(node, cycle, &mut rng, |len| seen.push((cycle, node, len)));
+                    }
+                    polled += nodes;
+                }
+            }
+            ((seen, rng.next_u64()), polled)
+        };
+        let (spec, _) = run(false);
+        let (scheduled, polled) = run(true);
+        assert_eq!(spec.0, scheduled.0, "emitted sequences differ");
+        assert_eq!(
+            spec.1, scheduled.1,
+            "shared stream left in different states"
+        );
+        (scheduled, polled)
+    }
+
+    fn mmpp(config: SimConfig) -> SimConfig {
+        config.traffic(TrafficModel::Mmpp {
+            burst_cycles: 40.0,
+            idle_cycles: 120.0,
+        })
+    }
+
+    #[test]
+    fn schedule_matches_full_scan_for_poisson_and_mmpp() {
+        let every: Vec<u64> = (0..4_000).collect();
+        let base = SimConfig::paper().injection_rate(0.05).seed(17);
+        for config in [base.clone(), mmpp(base)] {
+            let ((seen, _), polled) =
+                assert_schedule_matches_full_scan(48, &config, &every, |_| None);
+            assert!(seen.len() > 50, "only {} messages", seen.len());
+            // The point of the schedule: far fewer polls than
+            // nodes x cycles.
+            assert!(polled < 48 * 4_000 / 10, "polled {polled}");
+        }
+    }
+
+    #[test]
+    fn schedule_matches_full_scan_with_several_arrivals_per_cycle() {
+        // Mean inter-arrival 0.4 cycles: every node is due every cycle
+        // and emits a few messages per poll.
+        let every: Vec<u64> = (0..300).collect();
+        let base = SimConfig::paper()
+            .injection_rate(2.5)
+            .lengths(LengthDistribution::Fixed(1))
+            .seed(3);
+        for config in [base.clone(), mmpp(base)] {
+            let ((seen, _), _) = assert_schedule_matches_full_scan(9, &config, &every, |_| None);
+            assert!(seen.len() > 9 * 300, "only {} messages", seen.len());
+        }
+    }
+
+    #[test]
+    fn schedule_is_empty_at_zero_rate() {
+        let every: Vec<u64> = (0..500).collect();
+        let base = SimConfig::paper().seed(5);
+        for config in [base.clone(), mmpp(base)] {
+            let ((seen, _), polled) =
+                assert_schedule_matches_full_scan(12, &config, &every, |_| None);
+            assert!(seen.is_empty());
+            assert_eq!(polled, 0);
+        }
+    }
+
+    #[test]
+    fn schedule_matches_full_scan_on_one_node() {
+        let every: Vec<u64> = (0..20_000).collect();
+        let base = SimConfig::paper().injection_rate(0.2).seed(8);
+        for config in [base.clone(), mmpp(base)] {
+            let ((seen, _), _) = assert_schedule_matches_full_scan(1, &config, &every, |_| None);
+            assert!(!seen.is_empty());
+        }
+    }
+
+    #[test]
+    fn direct_polls_leave_only_harmless_early_wakes() {
+        // Every 13th cycle some node is polled directly, 40 cycles
+        // ahead: its schedule entry is then early, and the wake it
+        // causes must draw and emit nothing.
+        let every: Vec<u64> = (0..6_000).collect();
+        let base = SimConfig::paper().injection_rate(0.3).seed(29);
+        for config in [base.clone(), mmpp(base)] {
+            let ((seen, _), _) = assert_schedule_matches_full_scan(16, &config, &every, |c| {
+                (c % 13 == 5).then_some(((c / 13) as usize % 16, c + 40))
+            });
+            assert!(seen.len() > 100, "only {} messages", seen.len());
+        }
+    }
+
+    #[test]
+    fn a_batch_after_skipped_cycles_comes_out_in_node_order() {
+        // Polling resumes after gaps, so one batch holds entries with
+        // many different due cycles; the heap pops those by due cycle,
+        // the shared stream needs them by node.
+        let mut cycles: Vec<u64> = Vec::new();
+        let mut at = 0;
+        for gap in [1u64, 1, 250, 1, 90, 3, 1_000, 1, 1, 400]
+            .iter()
+            .cycle()
+            .take(60)
+        {
+            at += gap;
+            cycles.push(at);
+        }
+        let base = SimConfig::paper().injection_rate(0.1).seed(41);
+        for config in [base.clone(), mmpp(base)] {
+            let ((seen, _), _) = assert_schedule_matches_full_scan(32, &config, &cycles, |_| None);
+            let out_of_order = seen.windows(2).any(|w| w[0].0 == w[1].0 && w[0].1 > w[1].1);
+            assert!(!out_of_order);
+            assert!(seen.len() > 100, "only {} messages", seen.len());
+        }
     }
 
     #[test]

@@ -216,14 +216,10 @@ impl<'a> VcSimulation<'a> {
             return;
         }
         let mut new_messages: Vec<(NodeId, u32)> = Vec::new();
-        for node in 0..self.topo.num_nodes() {
-            let (source, rng) = (&mut self.source, &mut self.rng);
-            let mut lengths = Vec::new();
-            source.poll(node, self.cycle, rng, |len| lengths.push(len));
-            for len in lengths {
+        self.source
+            .poll_due(self.cycle, &mut self.rng, |node, len| {
                 new_messages.push((NodeId::new(node), len));
-            }
-        }
+            });
         for (src, len) in new_messages {
             if let Some(dst) = self.pattern.dest(self.topo, src, &mut self.rng) {
                 self.inject_message(src, dst, len);
