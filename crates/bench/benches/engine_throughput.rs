@@ -11,8 +11,8 @@
 //! workload ever changes.
 
 use turnroute_bench::workloads::{
-    measure_engine, measure_engine_mmpp, measure_engine_sharded, render_engine_json,
-    BASELINE_WEST_FIRST_CPS, BASELINE_XY_CPS,
+    measure_engine, measure_engine_mmpp, measure_engine_sharded, measure_engine_vc,
+    render_engine_json, BASELINE_WEST_FIRST_CPS, BASELINE_XY_CPS,
 };
 
 fn main() {
@@ -35,8 +35,13 @@ fn main() {
         "mmpp:       {:.0} cycles/sec (bursty 96/288 injection)",
         p.mmpp_cps
     );
+    let v = measure_engine_vc(10);
+    println!(
+        "vc mad-y:   {:.0} cycles/sec (loads 0.04 + 0.16)",
+        v.mady_cps
+    );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    std::fs::write(path, render_engine_json(&m, &s, &p))
+    std::fs::write(path, render_engine_json(&m, &s, &p, &v))
         .unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("wrote {path}");
 }

@@ -16,8 +16,8 @@ use turnroute_bench::regression::{
     check, parse_history, BenchRecord, DEFAULT_TOLERANCE, RECORD_SCHEMA,
 };
 use turnroute_bench::workloads::{
-    measure_engine, measure_engine_mmpp, measure_engine_sharded, measure_sweep, measure_synth,
-    render_engine_json, render_sweep_json,
+    measure_engine, measure_engine_mmpp, measure_engine_sharded, measure_engine_vc, measure_sweep,
+    measure_synth, render_engine_json, render_sweep_json,
 };
 
 const USAGE: &str = "\
@@ -109,6 +109,8 @@ fn main() -> ExitCode {
     let sharded = measure_engine_sharded(10);
     eprintln!("# measuring the MMPP injection workload");
     let mmpp = measure_engine_mmpp(10);
+    eprintln!("# measuring the virtual-channel engine workload");
+    let vc = measure_engine_vc(10);
     eprintln!("# measuring the sweep-grid workload");
     let sweep = measure_sweep(5);
     eprintln!("# measuring the synthesis workload");
@@ -126,6 +128,7 @@ fn main() -> ExitCode {
         engine_mesh64_serial_cps: sharded.serial_cps.round(),
         engine_sharded_cps: sharded.sharded_cps.round(),
         engine_mmpp_cps: mmpp.mmpp_cps.round(),
+        engine_vc_mady_cps: vc.mady_cps.round(),
         sharded_speedup: (sharded.speedup * 1e3).round() / 1e3,
         synth_candidates_per_sec: (synth.candidates_per_sec * 10.0).round() / 10.0,
         sweep_cells_per_sec: (sweep.cells_per_sec * 1e3).round() / 1e3,
@@ -138,7 +141,7 @@ fn main() -> ExitCode {
     println!(
         "engine west-first {:.0} cycles/s · engine xy {:.0} cycles/s · \
          sharded 64x64 {:.0} cycles/s ({} shard(s), {:.2}x vs serial {:.0}) · \
-         mmpp {:.0} cycles/s · \
+         mmpp {:.0} cycles/s · vc mad-y {:.0} cycles/s · \
          synth {:.1} candidates/s · \
          sweep {:.1} cells/s (serial {:.3}s, 8 threads {:.3}s, {} core(s))",
         current.engine_west_first_cps,
@@ -148,6 +151,7 @@ fn main() -> ExitCode {
         current.sharded_speedup,
         current.engine_mesh64_serial_cps,
         current.engine_mmpp_cps,
+        current.engine_vc_mady_cps,
         current.synth_candidates_per_sec,
         current.sweep_cells_per_sec,
         current.sweep_serial_secs,
@@ -211,7 +215,7 @@ fn main() -> ExitCode {
     for (path, body) in [
         (
             root.join("BENCH_engine.json"),
-            render_engine_json(&engine, &sharded, &mmpp),
+            render_engine_json(&engine, &sharded, &mmpp, &vc),
         ),
         (root.join("BENCH_sweep.json"), render_sweep_json(&sweep)),
     ] {

@@ -47,6 +47,11 @@ pub struct BenchRecord {
     /// written before the workload existed; the gate skips metrics
     /// with no prior measurement.
     pub engine_mmpp_cps: f64,
+    /// Virtual-channel engine cycles/sec: mad-y/transpose on the 16x16
+    /// mesh, one sustained and one saturated load timed together.
+    /// `0.0` in records written before the workload existed; the gate
+    /// skips metrics with no prior measurement.
+    pub engine_vc_mady_cps: f64,
     /// mesh64 serial time / sharded time.
     pub sharded_speedup: f64,
     /// Turn-prohibition synthesis: candidates evaluated per second on
@@ -76,6 +81,7 @@ const GATED_METRICS: &[GatedMetric] = &[
     ("engine_xy_cps", |r| r.engine_xy_cps),
     ("engine_sharded_cps", |r| r.engine_sharded_cps),
     ("engine_mmpp_cps", |r| r.engine_mmpp_cps),
+    ("engine_vc_mady_cps", |r| r.engine_vc_mady_cps),
     ("sweep_cells_per_sec", |r| r.sweep_cells_per_sec),
     ("synth_candidates_per_sec", |r| r.synth_candidates_per_sec),
 ];
@@ -102,7 +108,7 @@ impl BenchRecord {
             "{{\"schema\":{},\"recorded_at_unix\":{},\"host_cores\":{},\
              \"engine_west_first_cps\":{},\"engine_xy_cps\":{},\
              \"engine_mesh64_serial_cps\":{},\"engine_sharded_cps\":{},\
-             \"engine_mmpp_cps\":{},\
+             \"engine_mmpp_cps\":{},\"engine_vc_mady_cps\":{},\
              \"sharded_speedup\":{},\"synth_candidates_per_sec\":{},\
              \"sweep_cells_per_sec\":{},\"sweep_serial_secs\":{},\
              \"sweep_threads8_secs\":{},\"sweep_speedup_8_threads\":{},\
@@ -115,6 +121,7 @@ impl BenchRecord {
             num(self.engine_mesh64_serial_cps),
             num(self.engine_sharded_cps),
             num(self.engine_mmpp_cps),
+            num(self.engine_vc_mady_cps),
             num(self.sharded_speedup),
             num(self.synth_candidates_per_sec),
             num(self.sweep_cells_per_sec),
@@ -160,6 +167,7 @@ impl BenchRecord {
             engine_mesh64_serial_cps: f_opt("engine_mesh64_serial_cps"),
             engine_sharded_cps: f_opt("engine_sharded_cps"),
             engine_mmpp_cps: f_opt("engine_mmpp_cps"),
+            engine_vc_mady_cps: f_opt("engine_vc_mady_cps"),
             sharded_speedup: f_opt("sharded_speedup"),
             synth_candidates_per_sec: f_opt("synth_candidates_per_sec"),
             sweep_cells_per_sec: f("sweep_cells_per_sec")?,
@@ -453,7 +461,7 @@ fn render_table(history: &[BenchRecord]) -> String {
         "<h2>Records</h2>\n<table>\n<thead><tr><th>#</th><th>date</th><th>cores</th>\
          <th>engine west-first (cycles/s)</th><th>engine xy (cycles/s)</th>\
          <th>sharded 64x64 (cycles/s)</th><th>shard speedup</th>\
-         <th>mmpp (cycles/s)</th>\
+         <th>mmpp (cycles/s)</th><th>vc mad-y (cycles/s)</th>\
          <th>synth (cand/s)</th>\
          <th>sweep (cells/s)</th><th>sweep serial (s)</th><th>8-thread (s)</th>\
          <th>speedup ×8</th><th>note</th></tr></thead>\n<tbody>\n",
@@ -472,7 +480,7 @@ fn render_table(history: &[BenchRecord]) -> String {
             t,
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
              <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td></tr>",
+             <td>{}</td><td>{}</td></tr>",
             i + 1,
             date_of(r.recorded_at_unix),
             r.host_cores,
@@ -481,6 +489,7 @@ fn render_table(history: &[BenchRecord]) -> String {
             or_dash(r.engine_sharded_cps, 1.0),
             or_dash(r.sharded_speedup, 1e3),
             or_dash(r.engine_mmpp_cps, 1.0),
+            or_dash(r.engine_vc_mady_cps, 1.0),
             or_dash(r.synth_candidates_per_sec, 10.0),
             num((r.sweep_cells_per_sec * 10.0).round() / 10.0),
             num((r.sweep_serial_secs * 1e4).round() / 1e4),
@@ -576,6 +585,7 @@ mod tests {
             engine_mesh64_serial_cps: wf / 16.0,
             engine_sharded_cps: wf / 4.0,
             engine_mmpp_cps: wf / 2.0,
+            engine_vc_mady_cps: wf / 8.0,
             sharded_speedup: 4.0,
             synth_candidates_per_sec: cells * 2.0,
             sweep_cells_per_sec: cells,
@@ -627,18 +637,19 @@ mod tests {
     fn check_fails_a_synthetic_regression_beyond_tolerance() {
         let last = record(100_000.0, 120_000.0, 80.0);
         // One metric 15% down: exactly the synthetic case the gate
-        // must catch. (record() derives the sharded and mmpp metrics
+        // must catch. (record() derives the sharded, mmpp and vc metrics
         // from the west-first one; pin them so only one metric moves.)
         let mut regressed = record(85_000.0, 121_000.0, 80.0);
         regressed.engine_sharded_cps = last.engine_sharded_cps;
         regressed.engine_mmpp_cps = last.engine_mmpp_cps;
+        regressed.engine_vc_mady_cps = last.engine_vc_mady_cps;
         let violations = check(&last, &regressed, DEFAULT_TOLERANCE);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("engine_west_first_cps"));
         assert!(violations[0].contains("15.0%"));
-        // All six down hard: all six reported.
+        // All seven down hard: all seven reported.
         let collapsed = record(50_000.0, 60_000.0, 40.0);
-        assert_eq!(check(&last, &collapsed, DEFAULT_TOLERANCE).len(), 6);
+        assert_eq!(check(&last, &collapsed, DEFAULT_TOLERANCE).len(), 7);
     }
 
     #[test]
@@ -654,6 +665,7 @@ mod tests {
         assert_eq!(last.engine_sharded_cps, 0.0);
         assert_eq!(last.engine_mesh64_serial_cps, 0.0);
         assert_eq!(last.engine_mmpp_cps, 0.0);
+        assert_eq!(last.engine_vc_mady_cps, 0.0);
         // The gate has no sharded baseline to compare against, so a
         // fresh record with any sharded figure passes that metric.
         let current = record(100_000.0, 120_000.0, 80.0);

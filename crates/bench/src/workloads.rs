@@ -12,6 +12,9 @@
 //!   through the bursty MMPP arrival process (per-node nested RNG
 //!   streams), so a collapse in the injection path is caught even when
 //!   the Poisson figures hold;
+//! * [`measure_engine_vc`] — the lane-aware engine: mad-y on the same
+//!   16x16 transpose workload at one load under saturation and one
+//!   past it, the record's only figure for `turnroute-vc`;
 //! * [`measure_sweep`] — executor wall-clock on a figure-sized grid
 //!   (4 algorithms x 2 patterns x 6 loads), serial vs parallel, plus
 //!   the grid-cells-per-second figure the regression gate tracks (the
@@ -36,6 +39,7 @@ use turnroute_sim::{
     SweepSeries, TrafficModel,
 };
 use turnroute_topology::Mesh;
+use turnroute_vc::{MadY, VcSimulation};
 
 /// Pre-optimisation cycles/sec at commit 1dec775: west-first/transpose.
 pub const BASELINE_WEST_FIRST_CPS: f64 = 110_014.0;
@@ -229,6 +233,75 @@ pub fn measure_engine_mmpp(samples: usize) -> MmppMeasurement {
     }
 }
 
+/// Offered loads of the VC workload: mad-y sustains the first under
+/// transpose on a 16x16 mesh and saturates at the second.
+const VC_LOADS: [f64; 2] = [0.04, 0.16];
+
+/// Both runs of the VC workload (mad-y under transpose at each of
+/// [`VC_LOADS`]): the reports and the cycles simulated in total.
+fn vc_mady_runs(mesh: &Mesh) -> ([SimReport; 2], u64) {
+    let mady = MadY::new();
+    let mut cycles = 0;
+    let reports = VC_LOADS.map(|load| {
+        let config = engine_config(RouteTableMode::Off).injection_rate(load);
+        let mut sim = VcSimulation::new(mesh, &mady, &patterns::Transpose, config);
+        let report = sim.run();
+        cycles += sim.cycle();
+        report
+    });
+    (reports, cycles)
+}
+
+/// The virtual-channel engine workload's measured results.
+#[derive(Debug, Clone)]
+pub struct VcMeasurement {
+    /// mad-y/transpose over both loads — simulated cycles per second.
+    pub mady_cps: f64,
+    /// Cycles the two runs simulate together (warmup + measure + drain).
+    pub run_cycles: u64,
+    /// Two untimed passes produced byte-identical report renderings.
+    pub reports_identical: bool,
+    /// Raw timing for one pass (both runs).
+    pub timing: BenchResult,
+}
+
+/// Runs the virtual-channel engine workload with `samples` timed
+/// samples: mad-y on the standard 16x16-mesh transpose windows, once
+/// under saturation (load 0.04) and once past it (0.16), timed
+/// together.
+///
+/// # Panics
+///
+/// Panics if two passes of the same seed diverge, or if the loads do
+/// not straddle mad-y's saturation point (the workload would no longer
+/// measure what its name says).
+pub fn measure_engine_vc(samples: usize) -> VcMeasurement {
+    let mesh = Mesh::new_2d(16, 16);
+    let (a, cycles_a) = vc_mady_runs(&mesh);
+    let (b, cycles_b) = vc_mady_runs(&mesh);
+    assert_eq!(cycles_a, cycles_b, "VC re-run changed the run length");
+    let reports_identical = format!("{a:?}") == format!("{b:?}");
+    assert!(reports_identical, "VC re-run changed the report");
+    assert!(
+        a[0].sustainable() && !a[1].sustainable(),
+        "VC loads no longer straddle saturation"
+    );
+
+    let mut h = Harness::new().sample_size(samples);
+    let timing = h
+        .bench("engine-vc/mesh16/mad-y/transpose/0.04+0.16", || {
+            vc_mady_runs(&mesh)
+        })
+        .clone();
+
+    VcMeasurement {
+        mady_cps: cycles_a as f64 / timing.median_secs(),
+        run_cycles: cycles_a,
+        reports_identical,
+        timing,
+    }
+}
+
 fn mesh64_config(shards: usize) -> SimConfig {
     SimConfig::paper()
         .injection_rate(0.03)
@@ -327,12 +400,13 @@ pub fn measure_engine_sharded(samples: usize) -> ShardedMeasurement {
     }
 }
 
-/// Renders `BENCH_engine.json` from the three engine measurements (the
+/// Renders `BENCH_engine.json` from the four engine measurements (the
 /// one shape both the bench target and `bench_record` write).
 pub fn render_engine_json(
     m: &EngineMeasurement,
     s: &ShardedMeasurement,
     p: &MmppMeasurement,
+    v: &VcMeasurement,
 ) -> String {
     JsonReport::new()
         .field_str("bench", "engine_throughput")
@@ -391,6 +465,15 @@ pub fn render_engine_json(
         .result("mmpp", &p.timing)
         .field_num("engine_mmpp_cycles_per_sec", p.mmpp_cps.round())
         .field_bool("reports_identical_mmpp_reruns", p.reports_identical)
+        .field_str(
+            "vc_workload",
+            "mesh:16x16, mad-y (turnroute-vc engine), transpose, loads 0.04 (sustained) and \
+             0.16 (saturated) timed together, same windows and seed",
+        )
+        .field_num("vc_run_cycles", v.run_cycles as f64)
+        .result("vc_mady", &v.timing)
+        .field_num("engine_vc_mady_cycles_per_sec", v.mady_cps.round())
+        .field_bool("reports_identical_vc_reruns", v.reports_identical)
         .field_str(
             "sharded_note",
             if s.host_cores == 1 {
@@ -637,7 +720,13 @@ mod tests {
             reports_identical: true,
             timing: fake_result("mmpp", 1e6),
         };
-        let json = render_engine_json(&m, &s, &p);
+        let v = VcMeasurement {
+            mady_cps: 900_000.0,
+            run_cycles: 18_000,
+            reports_identical: true,
+            timing: fake_result("vc", 2e7),
+        };
+        let json = render_engine_json(&m, &s, &p, &v);
         assert!(json.contains("\"engine_sharded_cycles_per_sec\": 120000"));
         assert!(json.contains("\"mesh64_serial_cycles_per_sec\": 40000"));
         assert!(json.contains("\"sharded_speedup\": 3"));
@@ -647,6 +736,8 @@ mod tests {
         assert!(json.contains("\"engine_mmpp_cycles_per_sec\": 500000"));
         assert!(json.contains("\"reports_identical_mmpp_reruns\": true"));
         assert!(json.contains("mmpp:96,288"));
+        assert!(json.contains("\"engine_vc_mady_cycles_per_sec\": 900000"));
+        assert!(json.contains("\"reports_identical_vc_reruns\": true"));
     }
 
     #[test]

@@ -35,7 +35,8 @@ pub struct VcTable {
     classes: Vec<u8>,
     /// Prefix offsets: virtual ids of channel `c` start at `offsets[c]`.
     offsets: Vec<u32>,
-    total: u32,
+    /// The physical channel of every virtual channel, by id.
+    channel_of: Vec<u32>,
 }
 
 impl VcTable {
@@ -57,21 +58,25 @@ impl VcTable {
             "class counts must be in 1..={MAX_CLASSES}"
         );
         let mut offsets = Vec::with_capacity(topo.num_channels());
-        let mut total = 0u32;
-        for ch in topo.channels() {
-            offsets.push(total);
-            total += classes[ch.dir.dim()] as u32;
+        let widest = classes.iter().copied().max().unwrap_or(0) as usize;
+        let mut channel_of = Vec::with_capacity(topo.num_channels() * widest);
+        for (i, ch) in topo.channels().iter().enumerate() {
+            offsets.push(channel_of.len() as u32);
+            channel_of.extend(std::iter::repeat_n(
+                i as u32,
+                classes[ch.dir.dim()] as usize,
+            ));
         }
         VcTable {
             classes: classes.to_vec(),
             offsets,
-            total,
+            channel_of,
         }
     }
 
     /// Total number of virtual channels.
     pub fn num_virtual_channels(&self) -> usize {
-        self.total as usize
+        self.channel_of.len()
     }
 
     /// Lanes per channel of dimension `dim`.
@@ -112,12 +117,9 @@ impl VcTable {
 
     /// Decomposes a virtual channel into its physical channel and class.
     pub fn decompose(&self, vc: VirtualChannelId) -> (ChannelId, u8) {
-        // Binary search the offsets.
-        let i = match self.offsets.binary_search(&vc.0) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        (ChannelId::new(i), (vc.0 - self.offsets[i]) as u8)
+        let channel = self.channel_of[vc.index()];
+        let class = vc.0 - self.offsets[channel as usize];
+        (ChannelId::new(channel as usize), class as u8)
     }
 
     /// The virtual direction a virtual channel routes packets in.

@@ -54,6 +54,15 @@ cargo run --release -q -- sweep --topology mesh:4x4 --algorithms xy,west-first \
   --format json --threads 8 > target/traffic-b.json
 cmp target/traffic-a.json target/traffic-b.json
 
+echo "==> VC golden reports (mad-y, dateline: bytes identical to the recorded engine)"
+# The lane-aware engine has no oracle; the multi-lane algorithms are
+# pinned by reports recorded before its hot path was rewritten. Each
+# NAME.args is the command line that produced NAME.json.
+for args in tests/fixtures/vc_golden/*.args; do
+  # shellcheck disable=SC2046
+  cargo run --release -q -- $(cat "$args") | cmp - "${args%.args}.json"
+done
+
 echo "==> conformance soak (256 cases, fixed seed)"
 cargo run --release -q -p turnroute-check --bin conformance -- \
   --cases 256 --seed 3405705229 --json target/conformance.json

@@ -56,3 +56,30 @@ fn mady_outlasts_negative_first_on_diagonal_transpose() {
         "mad-y {ml:.1} usec vs negative-first {nl:.1} usec"
     );
 }
+
+/// The multi-lane algorithms have no oracle, so their reports are
+/// pinned: each `tests/fixtures/vc_golden/NAME.args` is a `turnroute`
+/// command line whose stdout was recorded in `NAME.json` from the
+/// engine before its hot path was rewritten (PR 14), and must come out
+/// byte for byte. `scripts/check.sh` runs the same `cmp`.
+#[test]
+fn multi_lane_sweeps_reproduce_their_golden_reports() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/vc_golden");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).expect("fixture directory") {
+        let args_file = entry.expect("directory entry").path();
+        if args_file.extension().is_none_or(|e| e != "args") {
+            continue;
+        }
+        let args = std::fs::read_to_string(&args_file).expect("args file");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_turnroute"))
+            .args(args.split_whitespace())
+            .output()
+            .expect("spawn turnroute");
+        assert!(out.status.success(), "{}", args_file.display());
+        let golden = std::fs::read(args_file.with_extension("json")).expect("golden report");
+        assert!(out.stdout == golden, "{} drifted", args_file.display());
+        checked += 1;
+    }
+    assert_eq!(checked, 2);
+}
