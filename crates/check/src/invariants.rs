@@ -26,7 +26,7 @@
 use crate::case::{BuiltCase, ConformanceCase};
 use crate::oracle::{Oracle, OracleReport};
 use turnroute_rng::{Rng, StdRng};
-use turnroute_sim::obs::TurnUsageObserver;
+use turnroute_sim::obs::{DeliveryLog, TurnUsageObserver};
 use turnroute_sim::{
     Executor, LatencyHistogram, PacketState, RouteTableMode, RunOutcome, SeriesJob, SimReport,
     Simulation,
@@ -102,7 +102,10 @@ fn check_engine_mode(
                 built.algo.as_ref(),
                 built.pattern.as_ref(),
                 config.clone(),
-                TurnUsageObserver::new(turns.clone()),
+                (
+                    TurnUsageObserver::new(turns.clone()),
+                    DeliveryLog::default(),
+                ),
             );
             let report = sim.run();
             compare_reports(
@@ -112,14 +115,17 @@ fn check_engine_mode(
                 &sim.channel_utilization(),
                 &format!("{tag} (observed)"),
             )?;
-            check_conservation(&sim, &report)?;
+            check_conservation(&sim, &sim.observer().1, &report)?;
         }
     }
-    let mut sim = Simulation::new(
+    // The delivery log asks for no per-requester events, so this run
+    // parks blocked headers exactly as an unobserved one does.
+    let mut sim = Simulation::with_observer(
         built.topo.as_ref(),
         built.algo.as_ref(),
         built.pattern.as_ref(),
         config,
+        DeliveryLog::default(),
     );
     let report = sim.run();
     compare_reports(
@@ -130,7 +136,7 @@ fn check_engine_mode(
         &tag,
     )?;
     if mode == RouteTableMode::Off {
-        check_conservation(&sim, &report)?;
+        check_conservation(&sim, sim.observer(), &report)?;
     }
     Ok(())
 }
@@ -256,14 +262,18 @@ pub fn compare_reports(
     Ok(())
 }
 
-/// Flit conservation on the engine's final state: nothing is created or
+/// Conservation on the engine's final state: nothing is created or
 /// destroyed between the source queue, the network and the destination.
+/// Every message generated is waiting at its source, in flight, or in
+/// the delivery log — once; every arena slot, live or free, accounts
+/// for all of its occupant's flits.
 fn check_conservation<O: turnroute_sim::obs::SimObserver>(
     sim: &Simulation<'_, O>,
+    log: &DeliveryLog,
     report: &SimReport,
 ) -> Result<(), String> {
-    let mut delivered = 0u64;
-    for p in sim.packets() {
+    let delivered = log.delivered();
+    for p in sim.packets().iter().chain(delivered) {
         let total = p.flits_at_source() + p.flits_in_network() + p.flits_consumed();
         if total != p.length {
             return Err(format!(
@@ -276,22 +286,35 @@ fn check_conservation<O: turnroute_sim::obs::SimObserver>(
                 p.length
             ));
         }
-        if p.state() == PacketState::Delivered {
-            delivered += 1;
-        }
     }
-    if delivered != report.total_delivered {
+    let mut ids: Vec<_> = delivered.iter().map(|p| p.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    if ids.len() != delivered.len() || delivered.len() as u64 != report.total_delivered {
         return Err(format!(
-            "conservation: {} delivered packets but report says {}",
-            delivered, report.total_delivered
+            "conservation: {} distinct packets in {} delivery events but report says {}",
+            ids.len(),
+            delivered.len(),
+            report.total_delivered
         ));
     }
-    let accounted = delivered + sim.in_flight().len() as u64 + sim.queued_messages() as u64;
+    let live = sim.in_flight().len();
+    let occupied = sim
+        .packets()
+        .iter()
+        .filter(|p| p.state() == PacketState::InFlight)
+        .count();
+    if live != occupied {
+        return Err(format!(
+            "conservation: {live} worms in flight but {occupied} undelivered arena slots"
+        ));
+    }
+    let accounted = (delivered.len() + live + sim.queued_messages()) as u64;
     if accounted != report.total_generated {
         return Err(format!(
             "conservation: delivered {} + in-flight {} + queued {} != generated {}",
-            delivered,
-            sim.in_flight().len(),
+            delivered.len(),
+            live,
             sim.queued_messages(),
             report.total_generated
         ));
@@ -319,21 +342,26 @@ fn check_zero_load_minimal(built: &BuiltCase, seed: u64) -> Result<(), String> {
             .clone()
             .injection_rate(0.0)
             .fault_schedule(None);
-        let mut sim = Simulation::new(topo, built.algo.as_ref(), built.pattern.as_ref(), config);
+        let mut sim = Simulation::with_observer(
+            topo,
+            built.algo.as_ref(),
+            built.pattern.as_ref(),
+            config,
+            DeliveryLog::default(),
+        );
         let id = sim.inject_message(src, dst, 4);
         let budget = 4 * (topo.num_channels() as u64 + 16);
         for _ in 0..budget {
-            if sim.packet(id).state() == PacketState::Delivered {
+            if sim.observer().get(id).is_some() {
                 break;
             }
             sim.step();
         }
-        let p = sim.packet(id);
-        if p.state() != PacketState::Delivered {
+        let Some(p) = sim.observer().get(id) else {
             return Err(format!(
                 "zero-load: packet {src:?}->{dst:?} not delivered within {budget} cycles"
             ));
-        }
+        };
         let want = topo.distance(src, dst) as u32;
         if p.hops() != want {
             return Err(format!(

@@ -54,9 +54,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -137,6 +138,9 @@ struct Counters {
     coalesced: AtomicU64,
     jobs_done: AtomicU64,
     jobs_failed: AtomicU64,
+    /// Jobs whose execution panicked (reported `failed` to the client,
+    /// counted apart: a panic is a bug, a failure may be the spec's).
+    jobs_panicked: AtomicU64,
     jobs_cancelled: AtomicU64,
     store_hits: AtomicU64,
     store_misses: AtomicU64,
@@ -174,6 +178,16 @@ struct State {
 }
 
 impl State {
+    /// The job table. A panic while it was held (a handler bug; job
+    /// execution itself is isolated in [`run_jobs`]) poisons the mutex.
+    /// Every update under the lock is a sequence of single inserts,
+    /// removes and field writes, so the worst an interrupted one leaves
+    /// is one orphaned job in an otherwise valid table: the poison is
+    /// cleared rather than spread to every later request.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records that job `id` reached a terminal state, and forgets the
     /// oldest finished jobs beyond the retention bound.
     fn retire(&self, inner: &mut Inner, id: &str) {
@@ -261,7 +275,7 @@ impl ServerHandle {
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Release);
         {
-            let mut inner = self.state.inner.lock().expect("server poisoned");
+            let mut inner = self.state.lock();
             inner.shutdown = true;
             for job in inner.jobs.values() {
                 if job.status == JobStatus::Running {
@@ -291,7 +305,7 @@ impl ServerHandle {
 fn run_jobs(state: &State) {
     loop {
         let (id, spec, key, progress, heal) = {
-            let mut inner = state.inner.lock().expect("server poisoned");
+            let mut inner = state.lock();
             loop {
                 if let Some(id) = inner.queue.pop_front() {
                     // Cancelled while waiting: terminal already, and
@@ -314,7 +328,10 @@ fn run_jobs(state: &State) {
                 if inner.shutdown {
                     return;
                 }
-                inner = state.wake_runner.wait(inner).expect("server poisoned");
+                inner = state
+                    .wake_runner
+                    .wait(inner)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
 
@@ -333,17 +350,25 @@ fn run_jobs(state: &State) {
         let mut executor = Executor::new(state.threads)
             .with_progress(progress.clone())
             .with_oplog(state.log.clone(), id.clone());
-        let outcome = spec.run_on(&mut executor);
+        // An engine `assert!` or out-of-range index reached through a
+        // spec must cost that job, not the runner thread (every later
+        // job would queue forever): the panic becomes the job's error.
+        let outcome = catch_unwind(AssertUnwindSafe(|| spec.run_on(&mut executor)));
         let cells_simulated = executor.stats().simulated as u64;
         state
             .counters
             .engine_cells_simulated
             .fetch_add(cells_simulated, Ordering::AcqRel);
 
+        let panicked = outcome.is_err();
         let (status, error) = match outcome {
+            Err(payload) => (
+                JobStatus::Failed,
+                Some(format!("job panicked: {}", panic_message(&*payload))),
+            ),
             _ if progress.is_cancelled() => (JobStatus::Cancelled, None),
-            Err(e) => (JobStatus::Failed, Some(e.to_string())),
-            Ok(series) => {
+            Ok(Err(e)) => (JobStatus::Failed, Some(e.to_string())),
+            Ok(Ok(series)) => {
                 let mut body = Vec::new();
                 report::write_report_json(&series, &executor.stats(), &mut body)
                     .expect("writing to a Vec cannot fail");
@@ -375,6 +400,7 @@ fn run_jobs(state: &State) {
         let (event, counter) = match status {
             JobStatus::Done => ("job_done", &state.counters.jobs_done),
             JobStatus::Cancelled => ("job_cancelled", &state.counters.jobs_cancelled),
+            _ if panicked => ("job_failed", &state.counters.jobs_panicked),
             _ => ("job_failed", &state.counters.jobs_failed),
         };
         counter.fetch_add(1, Ordering::AcqRel);
@@ -396,13 +422,23 @@ fn run_jobs(state: &State) {
         }
         ev.emit();
 
-        let mut inner = state.inner.lock().expect("server poisoned");
+        let mut inner = state.lock();
         inner.inflight.remove(&key);
         let job = inner.jobs.get_mut(&id).expect("running jobs are retained");
         job.status = status;
         job.error = error;
         state.retire(&mut inner, &id);
     }
+}
+
+/// What a caught panic said: `panic!`/`assert!` payloads are a `&str`
+/// or a `String`; anything else is opaque.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// The bounded route label set for the request counter — never the
@@ -532,7 +568,7 @@ fn route(request: &Request, state: &State, span: &str) -> Response {
 }
 
 fn healthz(state: &State) -> Response {
-    let inner = state.inner.lock().expect("server poisoned");
+    let inner = state.lock();
     let body = format!(
         "{{\"status\":\"ok\",\"jobs\":{},\"queued\":{}}}\n",
         inner.jobs.len(),
@@ -545,7 +581,7 @@ fn cache_stats(state: &State) -> Response {
     let entries = state.store.len().unwrap_or(0);
     let store_bytes = state.store.total_bytes().unwrap_or(0);
     let c = &state.counters;
-    let jobs = state.inner.lock().expect("server poisoned").jobs.len();
+    let jobs = state.lock().jobs.len();
     let body = format!(
         "{{\"entries\":{},\"jobs_submitted\":{},\"coalesced\":{},\"store_hits\":{},\
          \"store_misses\":{},\"corrupt_detected\":{},\"engine_cells_simulated\":{},\
@@ -567,7 +603,7 @@ fn cache_stats(state: &State) -> Response {
 fn metrics_page(state: &State) -> Response {
     let c = &state.counters;
     let (queue_depth, jobs_running) = {
-        let inner = state.inner.lock().expect("server poisoned");
+        let inner = state.lock();
         let running = inner
             .jobs
             .values()
@@ -623,6 +659,7 @@ fn metrics_page(state: &State) -> Response {
     for (status, counter) in [
         ("done", &c.jobs_done),
         ("failed", &c.jobs_failed),
+        ("panicked", &c.jobs_panicked),
         ("cancelled", &c.jobs_cancelled),
     ] {
         e.sample(
@@ -756,7 +793,7 @@ fn submit(request: &Request, state: &State, span: &str) -> Response {
     let key = content_key(&spec);
     state.counters.jobs_submitted.fetch_add(1, Ordering::AcqRel);
 
-    let mut inner = state.inner.lock().expect("server poisoned");
+    let mut inner = state.lock();
 
     // Coalesce onto an identical queued/running job first: no store
     // read, no second enqueue.
@@ -900,7 +937,7 @@ fn status_doc(id: &str, job: &Job) -> String {
 }
 
 fn job_status(id: &str, state: &State) -> Response {
-    let inner = state.inner.lock().expect("server poisoned");
+    let inner = state.lock();
     match inner.jobs.get(id) {
         Some(job) => Response::json(200, status_doc(id, job).into_bytes()),
         None => Response::error(404, "not_found", "no such job"),
@@ -909,7 +946,7 @@ fn job_status(id: &str, state: &State) -> Response {
 
 fn job_result(id: &str, state: &State) -> Response {
     let (key, status) = {
-        let inner = state.inner.lock().expect("server poisoned");
+        let inner = state.lock();
         match inner.jobs.get(id) {
             Some(job) => (job.key.clone(), job.status),
             None => return Response::error(404, "not_found", "no such job"),
@@ -945,7 +982,7 @@ fn job_result(id: &str, state: &State) -> Response {
 }
 
 fn cancel_job(id: &str, state: &State) -> Response {
-    let mut inner = state.inner.lock().expect("server poisoned");
+    let mut inner = state.lock();
     let Some(job) = inner.jobs.get_mut(id) else {
         return Response::error(404, "not_found", "no such job");
     };
@@ -974,5 +1011,41 @@ fn cancel_job(id: &str, state: &State) -> Response {
         JobStatus::Done | JobStatus::Failed | JobStatus::Cancelled => {
             Response::json(200, status_doc(id, job).into_bytes())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_poisoned_state_lock_keeps_serving() {
+        let store_dir =
+            std::env::temp_dir().join(format!("turnroute-serve-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&store_dir);
+        let handle = Server::start(
+            "127.0.0.1:0",
+            ServeOptions {
+                store_dir: store_dir.clone(),
+                threads: 1,
+                logger: Logger::disabled(),
+            },
+        )
+        .expect("server starts");
+        let state = handle.state.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _held = state.inner.lock().unwrap();
+            panic!("a handler bug under the state lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(handle.state.inner.is_poisoned());
+
+        let addr = handle.addr().to_string();
+        let (status, _) = crate::client::cache_stats(&addr).expect("request served");
+        assert_eq!(status, 200);
+        let (status, _) = crate::client::status(&addr, "j1").expect("request served");
+        assert_eq!(status, 404);
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&store_dir);
     }
 }

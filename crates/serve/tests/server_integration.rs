@@ -227,6 +227,52 @@ fn the_job_table_keeps_only_the_most_recent_finished_jobs() {
 }
 
 #[test]
+fn a_job_that_panics_the_engine_fails_alone_and_the_runner_lives_on() {
+    let (handle, addr, _store) = start("panic");
+    // A spec the boundary accepts and the engine asserts on: transpose
+    // needs a square mesh, and only `patterns::Transpose::dest` checks.
+    // (If admission control ever rejects it with a 4xx, find this test
+    // another way into an engine `assert!`.)
+    let poison = r#"{"spec_version":1,"topology":"mesh:4x3","pattern":"transpose",
+        "algorithms":["xy"],"loads":[0.05],
+        "config":{"seed":1,"warmup_cycles":100,"measure_cycles":400}}"#;
+    let (status, doc) = submit_ok(&addr, poison);
+    assert_eq!(status, 202, "{doc:?}");
+    let poisoned_id = str_field(&doc, "job_id").to_owned();
+    let doc = wait_done(&addr, &poisoned_id);
+    assert_eq!(str_field(&doc, "status"), "failed");
+    let error = str_field(&doc, "error");
+    assert!(error.starts_with("job panicked: "), "{error}");
+    assert!(error.contains("transpose needs a square mesh"), "{error}");
+    assert_eq!(client::fetch(&addr, &poisoned_id).unwrap().0, 409);
+
+    // The one runner thread survived, and so did the state lock: a
+    // normal job on the same server completes and is served.
+    let (status, doc) = submit_ok(&addr, &small_spec().to_json());
+    assert_eq!(status, 202);
+    let job_id = str_field(&doc, "job_id").to_owned();
+    assert_eq!(str_field(&wait_done(&addr, &job_id), "status"), "done");
+    assert_eq!(client::fetch(&addr, &job_id).unwrap().0, 200);
+
+    // The same spec again is a new job, not a poisoned cache entry.
+    let (_, doc) = submit_ok(&addr, poison);
+    let again = str_field(&doc, "job_id").to_owned();
+    assert_ne!(again, poisoned_id);
+    assert_eq!(str_field(&wait_done(&addr, &again), "status"), "failed");
+
+    let (_, page) = client::metrics(&addr).unwrap();
+    let page = String::from_utf8(page).unwrap();
+    for line in [
+        "turnroute_jobs_total{status=\"panicked\"} 2\n",
+        "turnroute_jobs_total{status=\"failed\"} 0\n",
+        "turnroute_jobs_total{status=\"done\"} 1\n",
+    ] {
+        assert!(page.contains(line), "missing {line:?} in:\n{page}");
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn a_cancelled_queued_job_may_be_evicted_before_the_runner_reaches_it() {
     use turnroute_serve::server::RETAINED_TERMINAL_JOBS;
     let (handle, addr, _store) = start("evictqueued");

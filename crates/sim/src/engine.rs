@@ -7,7 +7,7 @@ use crate::deadlock::{detect_deadlock, DeadlockReport};
 use crate::lut::RouteTable;
 use crate::metrics::MetricsCollector;
 use crate::obs::{NoopObserver, SimObserver};
-use crate::packet::{Packet, PacketId, PacketState};
+use crate::packet::{Packet, PacketId, Queued};
 use crate::patterns::TrafficPattern;
 use crate::traffic::TrafficSource;
 use std::collections::VecDeque;
@@ -28,9 +28,9 @@ const MAX_DIRS: usize = 32;
 /// whole run.
 struct Scratch {
     /// Headers requesting an output channel this cycle.
-    requesters: Vec<PacketId>,
-    /// `(packet, channel)` grants flowing from arbitration to advance.
-    grants: Vec<(PacketId, ChannelId)>,
+    requesters: Vec<Who>,
+    /// `(header, channel)` grants flowing from arbitration to advance.
+    grants: Vec<(Who, ChannelId)>,
     /// Channel-granted set, epoch-stamped: entry `c` holds `cycle + 1`
     /// if `c` was granted this cycle (0 = never granted), so "clearing"
     /// it is free.
@@ -39,18 +39,31 @@ struct Scratch {
     messages: Vec<(NodeId, u32)>,
 }
 
-/// Hot per-packet fields mirrored as struct-of-arrays: the cycle
-/// kernel's requester scans and sort keys read densely packed columns
-/// instead of striding over whole [`Packet`] records (~130 bytes each).
-/// The AoS `Packet` remains the source of truth for the public API,
-/// observers and deadlock analysis; the few write sites (creation, head
-/// moves, stranding) update both.
+/// Who asks for a channel: a worm in an arena slot, or the head of a
+/// node's source queue (which has no slot yet).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Who {
+    Slot(u32),
+    Source(u32),
+}
+
+/// Hot per-slot fields mirrored as struct-of-arrays: the cycle kernel's
+/// requester scans and sort keys read densely packed columns instead of
+/// striding over whole [`Packet`] records (~130 bytes each). The AoS
+/// `Packet` remains the source of truth for the public API, observers
+/// and deadlock analysis; the few write sites (injection, head moves,
+/// stranding) update both.
+#[derive(Default)]
 struct HotLanes {
+    /// Each occupant's creation sequence number ([`PacketId`]): the
+    /// tie-break of every priority key, so order never depends on which
+    /// slot a worm happens to sit in.
+    seq: Vec<u64>,
     /// The router each packet's header currently occupies.
     head_node: Vec<NodeId>,
-    /// Each packet's destination (immutable after creation).
+    /// Each packet's destination.
     dst: Vec<NodeId>,
-    /// Direction each header arrived over (`None` before injection).
+    /// Direction each header arrived over (`None` until the first hop).
     arrived: Vec<Option<Direction>>,
     /// Cycle each header arrived at its current router (the FCFS key).
     head_arrival: Vec<u64>,
@@ -64,13 +77,25 @@ struct HotLanes {
 }
 
 impl HotLanes {
-    fn push(&mut self, src: NodeId, dst: NodeId, created_at: u64) {
-        self.head_node.push(src);
-        self.dst.push(dst);
-        self.arrived.push(None);
-        self.head_arrival.push(created_at);
-        self.stranded.push(false);
-        self.blocked.push(0);
+    /// Points slot `s` (one past the end grows the columns) at a worm
+    /// about to leave `src`, every column rewritten.
+    fn start(&mut self, s: usize, src: NodeId, message: Queued) {
+        if s == self.seq.len() {
+            self.seq.push(0);
+            self.head_node.push(src);
+            self.dst.push(src);
+            self.arrived.push(None);
+            self.head_arrival.push(0);
+            self.stranded.push(false);
+            self.blocked.push(0);
+        }
+        self.seq[s] = message.seq;
+        self.head_node[s] = src;
+        self.dst[s] = message.dst;
+        self.arrived[s] = None;
+        self.head_arrival[s] = message.created_at;
+        self.stranded[s] = false;
+        self.blocked[s] = 0;
     }
 }
 
@@ -159,12 +184,17 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     rng: StdRng,
     source: TrafficSource,
     cycle: u64,
-    packets: Vec<Packet>,
-    /// Struct-of-arrays mirror of the packet fields the cycle kernel
+    /// The in-flight arena: a message owns a slot from its first channel
+    /// to its delivery, then the slot (worm buffer included) goes on
+    /// `free` for the next injection. As long as the most worms ever in
+    /// the network at once, whatever the run's length.
+    slots: Vec<Packet>,
+    free: Vec<u32>,
+    /// Struct-of-arrays mirror of the slot fields the cycle kernel
     /// reads every cycle.
     lanes: HotLanes,
-    /// Per-node source queue of packets waiting to inject.
-    queues: Vec<VecDeque<PacketId>>,
+    /// Per-node source queue of messages waiting to inject.
+    queues: Vec<VecDeque<Queued>>,
     /// Total packets across all source queues, maintained on push/pop
     /// so drain checks and queue sampling are O(1) instead of O(nodes).
     queued_total: usize,
@@ -172,16 +202,20 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     /// node's source queue is non-empty: requester collection walks the
     /// set bits instead of probing every queue.
     queue_nonempty: Vec<u64>,
-    /// Per-node packet currently streaming flits from the source.
-    injecting: Vec<Option<PacketId>>,
-    /// Per-node packet currently streaming flits into the local
+    /// Blocked stamp of each node's queue head (see
+    /// [`HotLanes::blocked`]; a waiting message has no slot to keep it
+    /// in). Zeroed when the head leaves, so its successor starts fresh.
+    head_blocked: Vec<u64>,
+    /// Per-node slot currently streaming flits from the source.
+    injecting: Vec<Option<u32>>,
+    /// Per-node slot currently streaming flits into the local
     /// processor (the single ejection channel of the paper's router).
-    ejecting: Vec<Option<PacketId>>,
-    /// Per-channel occupant.
-    channel_owner: Vec<Option<PacketId>>,
+    ejecting: Vec<Option<u32>>,
+    /// Per-channel occupant (a slot).
+    channel_owner: Vec<Option<u32>>,
     /// Channel-occupancy bitset (64 channels per word), kept in lockstep
     /// with `channel_owner`: the hot free-channel check reads one bit
-    /// instead of a 16-byte `Option<PacketId>`.
+    /// instead of an 8-byte `Option<u32>`.
     channel_busy: Vec<u64>,
     /// Channels taken out of service by fault injection.
     faulty: Vec<bool>,
@@ -217,11 +251,11 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     /// Nodes handed to the traffic source's per-node `poll`, summed
     /// over all cycles.
     sources_polled: u64,
-    /// Packets currently in flight.
-    in_flight: Vec<PacketId>,
-    /// In-flight packets whose header sits at its destination: pushed
-    /// by the hop that lands there, removed on delivery.
-    at_dest: Vec<PacketId>,
+    /// Live slots, in injection order.
+    in_flight: Vec<u32>,
+    /// Live slots whose header sits at its destination: pushed by the
+    /// hop that lands there, removed on delivery.
+    at_dest: Vec<u32>,
     /// Packets the routing relation stranded (each flagged on its
     /// [`Packet::is_stranded`]; stranded packets stay in flight
     /// forever, so this never decreases).
@@ -309,18 +343,13 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             rng,
             source,
             cycle: 0,
-            packets: Vec::new(),
-            lanes: HotLanes {
-                head_node: Vec::new(),
-                dst: Vec::new(),
-                arrived: Vec::new(),
-                head_arrival: Vec::new(),
-                stranded: Vec::new(),
-                blocked: Vec::new(),
-            },
+            slots: Vec::new(),
+            free: Vec::new(),
+            lanes: HotLanes::default(),
             queues: vec![VecDeque::new(); topo.num_nodes()],
             queued_total: 0,
             queue_nonempty: vec![0; topo.num_nodes().div_ceil(64)],
+            head_blocked: vec![0; topo.num_nodes()],
             injecting: vec![None; topo.num_nodes()],
             ejecting: vec![None; topo.num_nodes()],
             channel_owner: vec![None; topo.num_channels()],
@@ -411,28 +440,36 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         self.obs
     }
 
-    /// The packet with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this simulation.
-    pub fn packet(&self, id: PacketId) -> &Packet {
-        &self.packets[id.0 as usize]
+    /// The live worm with the given id: `None` while the message still
+    /// waits in its source queue and again once it is delivered (a
+    /// [`SimObserver::packet_delivered`] hook sees it last). A scan of
+    /// the worms in flight — for tests and tools, not for hot loops.
+    pub fn packet(&self, id: PacketId) -> Option<&Packet> {
+        self.in_flight().find(|p| p.id == id)
     }
 
-    /// All packets created so far.
+    /// The slot arena, free slots included: its length is the most
+    /// worms that were ever in the network at once, not the messages
+    /// created. A free slot still shows its last, delivered occupant
+    /// until the next injection reuses it.
     pub fn packets(&self) -> &[Packet] {
-        &self.packets
+        &self.slots
     }
 
-    /// Packets currently in flight.
-    pub fn in_flight(&self) -> &[PacketId] {
-        &self.in_flight
+    /// The worms currently in flight, in injection order.
+    pub fn in_flight(&self) -> impl ExactSizeIterator<Item = &Packet> + '_ {
+        self.in_flight.iter().map(|&s| &self.slots[s as usize])
     }
 
     /// The packet currently occupying `channel`, if any.
     pub fn channel_owner(&self, channel: ChannelId) -> Option<PacketId> {
-        self.channel_owner[channel.index()]
+        self.channel_owner[channel.index()].map(|s| self.slots[s as usize].id)
+    }
+
+    /// Messages delivered so far.
+    #[must_use]
+    pub fn total_delivered(&self) -> u64 {
+        self.total_delivered
     }
 
     /// Total messages waiting in source queues. O(1): a running count
@@ -456,11 +493,15 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     ///
     /// Panics if `src == dst` or `length == 0`.
     pub fn inject_message(&mut self, src: NodeId, dst: NodeId, length: u32) -> PacketId {
-        let id = PacketId(self.packets.len() as u64);
-        self.packets
-            .push(Packet::new(id, src, dst, length, self.cycle));
-        self.lanes.push(src, dst, self.cycle);
-        self.queues[src.index()].push_back(id);
+        assert!(length > 0, "packets have at least one flit");
+        assert_ne!(src, dst, "self-addressed packets are consumed locally");
+        let seq = self.total_generated;
+        self.queues[src.index()].push_back(Queued {
+            seq,
+            dst,
+            length,
+            created_at: self.cycle,
+        });
         self.queued_total += 1;
         self.queue_nonempty[src.index() >> 6] |= 1u64 << (src.index() & 63);
         self.total_generated += 1;
@@ -468,7 +509,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             self.metrics.messages_generated += 1;
             self.metrics.flits_generated += length as u64;
         }
-        id
+        PacketId(seq)
     }
 
     /// Stops traffic generation, Poisson or MMPP (used while draining).
@@ -698,14 +739,41 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         }
     }
 
+    /// Where `who`'s header sits, where it is bound, and the direction
+    /// it arrived over (`None` for a queue head, still at its source).
+    #[inline]
+    fn header(&self, who: Who) -> (NodeId, NodeId, Option<Direction>) {
+        match who {
+            Who::Slot(s) => {
+                let s = s as usize;
+                (
+                    self.lanes.head_node[s],
+                    self.lanes.dst[s],
+                    self.lanes.arrived[s],
+                )
+            }
+            Who::Source(node) => {
+                let node = node as usize;
+                (NodeId::new(node), self.queues[node][0].dst, None)
+            }
+        }
+    }
+
+    /// The id observers know `who` by.
+    fn id_of(&self, who: Who) -> PacketId {
+        PacketId(match who {
+            Who::Slot(s) => self.lanes.seq[s as usize],
+            Who::Source(node) => self.queues[node as usize][0].seq,
+        })
+    }
+
     /// Fills `out` with the requesting header's permitted, free output
     /// channels, in the output-selection policy's preference order.
     /// Returns the count and the raw permitted set (so callers can
     /// distinguish "all busy" from "relation offers nothing" without a
     /// second routing query).
-    fn candidates(&mut self, id: PacketId, out: &mut [ChannelId; MAX_DIRS]) -> (usize, DirSet) {
-        let (head, permitted) = self.permitted_pruned(id);
-        let arrived = self.lanes.arrived[id.0 as usize];
+    fn candidates(&mut self, who: Who, out: &mut [ChannelId; MAX_DIRS]) -> (usize, DirSet) {
+        let (head, arrived, permitted) = self.permitted_pruned(who);
         let mut dirs = [Direction::WEST; MAX_DIRS];
         let ordered = self.order_directions(permitted, arrived, &mut dirs);
         let count = self.free_candidates(head, &dirs[..ordered], out);
@@ -720,12 +788,11 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     /// shard planner falls back to serial otherwise).
     fn candidates_deterministic(
         &self,
-        id: PacketId,
+        who: Who,
         out: &mut [ChannelId; MAX_DIRS],
     ) -> (usize, DirSet) {
         debug_assert!(self.config.output_selection != OutputSelection::Random);
-        let (head, permitted) = self.permitted_pruned(id);
-        let arrived = self.lanes.arrived[id.0 as usize];
+        let (head, arrived, permitted) = self.permitted_pruned(who);
         let mut dirs = [Direction::WEST; MAX_DIRS];
         let ordered = Self::order_directions_deterministic(
             self.config.output_selection,
@@ -738,15 +805,11 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     }
 
     /// The routing relation's (optionally fault-pruned) answer for
-    /// `id`'s header, plus the head node it sits at.
+    /// `who`'s header, plus the head node it sits at and the direction
+    /// it arrived over.
     #[inline]
-    fn permitted_pruned(&self, id: PacketId) -> (NodeId, DirSet) {
-        let i = id.0 as usize;
-        let (head, dst, arrived) = (
-            self.lanes.head_node[i],
-            self.lanes.dst[i],
-            self.lanes.arrived[i],
-        );
+    fn permitted_pruned(&self, who: Who) -> (NodeId, Option<Direction>, DirSet) {
+        let (head, dst, arrived) = self.header(who);
         let mut permitted = self.permitted(head, dst, arrived);
         if self.prune_faulty {
             // Mirror the pruned route table exactly: drop failed (and
@@ -760,7 +823,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
                 }
             }
         }
-        (head, permitted)
+        (head, arrived, permitted)
     }
 
     /// Filters `dirs` down to in-service, unoccupied channels out of
@@ -858,13 +921,13 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         }
     }
 
-    /// `true` if `id`'s header was found blocked after the last release
-    /// at its router `head`: re-evaluating it would find the same
-    /// permitted set and busy channels. Never true in runs that stamp
-    /// nothing (blocked stamps stay 0).
+    /// `true` if a header carrying blocked stamp `stamp` was found
+    /// blocked after the last release at `router`, where it sits:
+    /// re-evaluating it would find the same permitted set and busy
+    /// channels. Never true in runs that stamp nothing (stamps stay 0).
     #[inline]
-    fn is_parked(&self, id: PacketId, head: usize) -> bool {
-        self.lanes.blocked[id.0 as usize] > self.released_epoch[head]
+    fn is_parked(&self, stamp: u64, router: usize) -> bool {
+        stamp > self.released_epoch[router]
     }
 
     /// Appends the cycle's requesters whose head node index lies in
@@ -876,14 +939,15 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     /// shard to its own bits). Order within `out` is in-flight order
     /// then node order — the caller sorts (or shuffles) before
     /// granting.
-    fn collect_requesters(&self, lo: usize, hi: usize, out: &mut Vec<PacketId>) {
-        out.extend(self.in_flight.iter().copied().filter(|&id| {
-            let i = id.0 as usize;
+    fn collect_requesters(&self, lo: usize, hi: usize, out: &mut Vec<Who>) {
+        out.extend(self.in_flight.iter().filter_map(|&s| {
+            let i = s as usize;
             let head = self.lanes.head_node[i];
-            (lo..hi).contains(&head.index())
+            ((lo..hi).contains(&head.index())
                 && head != self.lanes.dst[i]
                 && !self.lanes.stranded[i]
-                && !self.is_parked(id, head.index())
+                && !self.is_parked(self.lanes.blocked[i], head.index()))
+            .then_some(Who::Slot(s))
         }));
         for word in (lo >> 6)..hi.div_ceil(64) {
             let mut bits = self.queue_nonempty[word];
@@ -896,11 +960,9 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             while bits != 0 {
                 let node = (word << 6) + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if self.injecting[node].is_none() {
-                    let head = self.queues[node][0];
-                    if !self.is_parked(head, node) {
-                        out.push(head);
-                    }
+                let parked = self.is_parked(self.head_blocked[node], node);
+                if self.injecting[node].is_none() && !parked {
+                    out.push(Who::Source(node as u32));
                 }
             }
         }
@@ -911,31 +973,40 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     /// channel. The keys end in the unique packet id, so the unstable
     /// sort is a total order; shards sorting disjoint subsets produce
     /// exactly the serial order restricted to each subset.
-    fn sort_requesters(&self, requesters: &mut [PacketId]) {
+    fn sort_requesters(&self, requesters: &mut [Who]) {
         match self.config.input_selection {
             InputSelection::FirstComeFirstServed => {
-                requesters.sort_unstable_by_key(|&id| self.fcfs_key(id));
+                requesters.sort_unstable_by_key(|&who| self.fcfs_key(who));
             }
             InputSelection::FixedPriority => {
-                requesters.sort_unstable_by_key(|&id| self.fixed_priority_key(id));
+                requesters.sort_unstable_by_key(|&who| self.fixed_priority_key(who));
             }
             InputSelection::Random => unreachable!("Random is shuffled, not sorted"),
         }
     }
 
-    /// First-come-first-served priority key (earlier header arrival
-    /// wins; packet id breaks ties).
+    /// First-come-first-served priority key (earlier header arrival —
+    /// creation, for a queue head — wins; packet id breaks ties).
     #[inline]
-    fn fcfs_key(&self, id: PacketId) -> (u64, u64) {
-        (self.lanes.head_arrival[id.0 as usize], id.0)
+    fn fcfs_key(&self, who: Who) -> (u64, u64) {
+        match who {
+            Who::Slot(s) => (
+                self.lanes.head_arrival[s as usize],
+                self.lanes.seq[s as usize],
+            ),
+            Who::Source(node) => {
+                let head = &self.queues[node as usize][0];
+                (head.created_at, head.seq)
+            }
+        }
     }
 
     /// Fixed-priority key (injection beats every network input, then
     /// lowest arrival direction; packet id breaks ties).
     #[inline]
-    fn fixed_priority_key(&self, id: PacketId) -> (usize, u64) {
-        let dir_rank = self.lanes.arrived[id.0 as usize].map_or(0, |d| d.index() + 1);
-        (dir_rank, id.0)
+    fn fixed_priority_key(&self, who: Who) -> (usize, u64) {
+        let dir_rank = self.header(who).2.map_or(0, |d| d.index() + 1);
+        (dir_rank, self.id_of(who).0)
     }
 
     /// Whether a header whose pruned direction set is empty is stuck
@@ -943,35 +1014,37 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     /// can heal when a link comes back; strand only if the relation
     /// itself offers nothing. (Repairs imply a dynamic schedule, so no
     /// table is in use and `route` is the raw, unpruned relation.)
-    fn strands_permanently(&self, id: PacketId) -> bool {
+    fn strands_permanently(&self, who: Who) -> bool {
         !(self.prune_faulty && self.fault_repairs) || {
-            let i = id.0 as usize;
-            self.algo
-                .route(
-                    self.topo,
-                    self.lanes.head_node[i],
-                    self.lanes.dst[i],
-                    self.lanes.arrived[i],
-                )
-                .is_empty()
+            let (head, dst, arrived) = self.header(who);
+            self.algo.route(self.topo, head, dst, arrived).is_empty()
         }
     }
 
-    /// Marks an in-flight header stranded (idempotent; queued packets
-    /// are left alone — their source may still route around the fault).
-    fn strand(&mut self, id: PacketId) {
-        let i = id.0 as usize;
-        let p = &mut self.packets[i];
-        if p.state() == PacketState::InFlight && !p.is_stranded {
+    /// Marks an in-flight header stranded (idempotent; queue heads are
+    /// left alone — their source may still route around the fault).
+    fn strand(&mut self, who: Who) {
+        let Who::Slot(s) = who else { return };
+        let p = &mut self.slots[s as usize];
+        if !p.is_stranded {
             p.is_stranded = true;
-            self.lanes.stranded[i] = true;
+            self.lanes.stranded[s as usize] = true;
             self.stranded_count += 1;
+        }
+    }
+
+    /// Stamps `who` blocked as of this cycle's arbitration (see
+    /// [`HotLanes::blocked`]).
+    fn park(&mut self, who: Who) {
+        match who {
+            Who::Slot(s) => self.lanes.blocked[s as usize] = self.cycle + 1,
+            Who::Source(node) => self.head_blocked[node as usize] = self.cycle + 1,
         }
     }
 
     /// Arbitration: headers request channels; contested channels go to
     /// the input-selection winner. Fills `scratch.grants` with
-    /// `(packet, channel)` grants for [`Simulation::advance`].
+    /// `(header, channel)` grants for [`Simulation::advance`].
     fn arbitrate(&mut self) {
         // Requesters: in-flight headers not yet at their destination,
         // plus each node's queue head if the injection channel is free.
@@ -1004,29 +1077,30 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         // cycle's marks are stale without any clearing pass.
         let epoch = self.cycle + 1;
         let mut candidates = [ChannelId::new(0); MAX_DIRS];
-        for &id in &requesters {
-            let (count, permitted) = self.candidates(id, &mut candidates);
+        for &who in &requesters {
+            let (count, permitted) = self.candidates(who, &mut candidates);
             if count == 0 {
                 // Either every permitted channel is busy (normal
                 // blocking) or the relation offers nothing (stranded).
                 if permitted.is_empty() {
-                    if self.strands_permanently(id) {
-                        self.strand(id);
+                    if self.strands_permanently(who) {
+                        self.strand(who);
                     }
                 } else if O::ENABLED {
                     // Name the channel the header would have preferred.
                     // Direction preference order (not the RNG-consuming
                     // output-selection ordering) keeps observed runs
                     // bit-identical.
-                    let head = self.packets[id.0 as usize].head_node;
+                    let head = self.header(who).0;
                     if let Some(wanted) = permitted
                         .iter()
                         .find_map(|dir| self.topo.channel_from(head, dir))
                     {
-                        self.obs.packet_blocked(self.cycle, id, head, wanted);
+                        self.obs
+                            .packet_blocked(self.cycle, self.id_of(who), head, wanted);
                     }
                 } else if park {
-                    self.lanes.blocked[id.0 as usize] = epoch;
+                    self.park(who);
                 }
                 continue;
             }
@@ -1035,12 +1109,13 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
                 .find(|c| granted[c.index()] != epoch)
             {
                 granted[channel.index()] = epoch;
-                grants.push((id, channel));
+                grants.push((who, channel));
             } else if O::ENABLED {
                 // Every free candidate went to a higher-priority header
                 // this cycle.
-                let head = self.packets[id.0 as usize].head_node;
-                self.obs.packet_blocked(self.cycle, id, head, candidates[0]);
+                let head = self.header(who).0;
+                self.obs
+                    .packet_blocked(self.cycle, self.id_of(who), head, candidates[0]);
             }
         }
         self.scratch.requesters = requesters;
@@ -1059,66 +1134,86 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         // arrival). Unstable sort: the key ends in the unique id.
         // The list is detached for the loop (delivery drops entries);
         // headers landing on their destination through this cycle's
-        // grants join it below and first consume next cycle.
+        // grants join it below and first consume next cycle. Slots freed
+        // here are the first ones this cycle's injections reuse.
         let mut at_dest = std::mem::take(&mut self.at_dest);
-        at_dest.sort_unstable_by_key(|&id| self.fcfs_key(id));
-        at_dest.retain(|&id| {
-            let node = self.lanes.dst[id.0 as usize].index();
+        at_dest.sort_unstable_by_key(|&s| self.fcfs_key(Who::Slot(s)));
+        at_dest.retain(|&s| {
+            let node = self.lanes.dst[s as usize].index();
             match self.ejecting[node] {
-                None => self.ejecting[node] = Some(id),
-                Some(holder) if holder == id => {}
+                None => self.ejecting[node] = Some(s),
+                Some(holder) if holder == s => {}
                 Some(_) => return true, // ejection channel busy
             }
             progressed = true;
-            let delivered = self.consume_one_flit(id);
+            let delivered = self.consume_one_flit(s);
             !delivered
         });
         self.at_dest = at_dest;
 
         let grants = std::mem::take(&mut self.scratch.grants);
-        for &(id, channel) in &grants {
-            self.take_channel(id, channel);
+        for &(who, channel) in &grants {
+            self.take_channel(who, channel);
             progressed = true;
         }
         self.scratch.grants = grants;
         progressed
     }
 
-    fn take_channel(&mut self, id: PacketId, channel: ChannelId) {
-        let ch = self.topo.channel(channel);
-        let first_hop = {
-            let p = &self.packets[id.0 as usize];
-            p.state() == PacketState::Queued
-        };
-        if first_hop {
-            // Leave the source queue and claim the injection channel.
-            let node = ch.src.index();
-            let front = self.queues[node].pop_front();
-            debug_assert_eq!(front, Some(id));
-            self.queued_total -= 1;
-            if self.queues[node].is_empty() {
-                self.queue_nonempty[node >> 6] &= !(1u64 << (node & 63));
-            }
-            self.injecting[node] = Some(id);
-            self.packets[id.0 as usize].injected_at = Some(self.cycle);
-            self.in_flight.push(id);
-            let (src, dst, length) = {
-                let p = &self.packets[id.0 as usize];
-                (p.src, p.dst, p.length)
-            };
-            self.obs.packet_injected(self.cycle, id, src, dst, length);
+    /// Moves the head of `node`'s source queue into a slot (a recycled
+    /// one if any is free), ready for its first channel.
+    fn start_worm(&mut self, node: usize) -> u32 {
+        let message = self.queues[node].pop_front().expect("granted a queue head");
+        self.queued_total -= 1;
+        if self.queues[node].is_empty() {
+            self.queue_nonempty[node >> 6] &= !(1u64 << (node & 63));
         }
-        self.channel_owner[channel.index()] = Some(id);
+        self.head_blocked[node] = 0;
+        let src = NodeId::new(node);
+        let s = match self.free.pop() {
+            Some(s) => {
+                let slot = &mut self.slots[s as usize];
+                let worm = std::mem::take(&mut slot.worm);
+                *slot = Packet::start(message, src, self.cycle, worm);
+                s
+            }
+            None => {
+                self.slots
+                    .push(Packet::start(message, src, self.cycle, Vec::new()));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.lanes.start(s as usize, src, message);
+        self.injecting[node] = Some(s);
+        self.in_flight.push(s);
+        self.obs.packet_injected(
+            self.cycle,
+            PacketId(message.seq),
+            src,
+            message.dst,
+            message.length,
+        );
+        s
+    }
+
+    fn take_channel(&mut self, who: Who, channel: ChannelId) {
+        let ch = self.topo.channel(channel);
+        let s = match who {
+            Who::Slot(s) => s,
+            // Leave the source queue and claim the injection channel.
+            Who::Source(node) => self.start_worm(node as usize),
+        };
+        self.channel_owner[channel.index()] = Some(s);
         let c = channel.index();
         self.channel_busy[c >> 6] |= 1u64 << (c & 63);
-        if self.in_window() {
-            let len = self.packets[id.0 as usize].length as u64;
-            self.channel_flits[channel.index()] += len;
-        }
         let cycle = self.cycle;
-        let idx = id.0 as usize;
-        let p = &mut self.packets[idx];
-        let from_dir = p.arrived;
+        let in_window = self.in_window();
+        let idx = s as usize;
+        let p = &mut self.slots[idx];
+        if in_window {
+            self.channel_flits[c] += p.length as u64;
+        }
+        let (id, from_dir) = (p.id, p.arrived);
         p.worm.push(channel);
         p.head_node = ch.dst;
         p.arrived = Some(ch.dir);
@@ -1129,7 +1224,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         self.lanes.head_arrival[idx] = cycle + 1;
         self.lanes.blocked[idx] = 0;
         if ch.dst == self.lanes.dst[idx] {
-            self.at_dest.push(id);
+            self.at_dest.push(s);
         }
         if let Some(from) = from_dir {
             // The turn happened at the channel's source router.
@@ -1137,43 +1232,44 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         }
         self.obs.channel_acquired(cycle, id, channel);
         self.obs.header_advanced(cycle, id, ch.dst, channel);
-        self.shift_tail(id);
+        self.shift_tail(s);
     }
 
-    /// Consumes one flit of `id` at its destination; returns `true` if
-    /// that was the tail flit (the packet is delivered).
-    fn consume_one_flit(&mut self, id: PacketId) -> bool {
+    /// Consumes one flit of slot `s`'s worm at its destination; returns
+    /// `true` if that was the tail flit (the packet is delivered and
+    /// the slot is free again).
+    fn consume_one_flit(&mut self, s: u32) -> bool {
         self.note_delivered_flit();
-        let p = &mut self.packets[id.0 as usize];
+        let p = &mut self.slots[s as usize];
         p.flits_consumed += 1;
         let done = p.flits_consumed == p.length;
-        self.obs.flit_delivered(self.cycle, id, done);
-        self.shift_tail(id);
+        self.obs.flit_delivered(self.cycle, p.id, done);
+        self.shift_tail(s);
         if done {
-            let p = &mut self.packets[id.0 as usize];
+            let p = &mut self.slots[s as usize];
             debug_assert_eq!(p.worm_head, p.worm.len(), "delivered with flits in flight");
-            // Every channel is released: give the chain's storage back
-            // rather than keep it for the rest of the run.
-            p.worm = Vec::new();
+            // Every channel is released; the buffer stays with the slot.
+            p.worm.clear();
             p.worm_head = 0;
             p.delivered_at = Some(self.cycle);
             let dst = p.dst.index();
-            if self.ejecting[dst] == Some(id) {
+            if self.ejecting[dst] == Some(s) {
                 self.ejecting[dst] = None;
             }
             self.total_delivered += 1;
-            self.in_flight.retain(|&q| q != id);
-            let p = &self.packets[id.0 as usize];
+            self.in_flight.retain(|&q| q != s);
+            let p = &self.slots[s as usize];
             let record =
                 p.created_at >= self.metrics.window_start && p.created_at < self.metrics.window_end;
             if record {
-                let latency = self.cycle - p.created_at;
-                let net_latency = self.cycle - p.injected_at.expect("delivered => injected");
-                let hops = p.hops;
-                self.metrics.latencies.record(latency);
-                self.metrics.network_latencies.record(net_latency);
-                self.metrics.hop_counts.push(hops);
+                self.metrics.latencies.record(self.cycle - p.created_at);
+                self.metrics
+                    .network_latencies
+                    .record(self.cycle - p.injected_at);
+                self.metrics.hop_counts.push(p.hops);
             }
+            self.obs.packet_delivered(self.cycle, p);
+            self.free.push(s);
         }
         done
     }
@@ -1181,21 +1277,21 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     /// After the worm moved one step at the head (new channel or
     /// consumed flit), feed the tail: a fresh flit enters from the
     /// source, or the tail channel drains and is released.
-    fn shift_tail(&mut self, id: PacketId) {
-        let idx = id.0 as usize;
-        if self.packets[idx].flits_at_source > 0 {
-            self.packets[idx].flits_at_source -= 1;
-            if self.packets[idx].flits_at_source == 0 {
+    fn shift_tail(&mut self, s: u32) {
+        let p = &mut self.slots[s as usize];
+        if p.flits_at_source > 0 {
+            p.flits_at_source -= 1;
+            if p.flits_at_source == 0 {
                 // Tail left the source: release the injection channel.
-                let src = self.packets[idx].src.index();
-                if self.injecting[src] == Some(id) {
+                let src = p.src.index();
+                if self.injecting[src] == Some(s) {
                     self.injecting[src] = None;
                 }
             }
-        } else if self.packets[idx].worm_head < self.packets[idx].worm.len() {
-            let p = &mut self.packets[idx];
+        } else if p.worm_head < p.worm.len() {
             let tail = p.worm[p.worm_head];
             p.worm_head += 1;
+            let id = p.id;
             let t = tail.index();
             self.channel_owner[t] = None;
             self.channel_busy[t >> 6] &= !(1u64 << (t & 63));
@@ -1211,7 +1307,9 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         }
     }
 
-    /// Internal accessors for deadlock analysis.
+    /// Internal accessors for deadlock analysis: topology, relation,
+    /// slot arena, per-channel owner slot, live slots in injection
+    /// order, service bits.
     #[allow(clippy::type_complexity)]
     pub(crate) fn deadlock_view(
         &self,
@@ -1219,14 +1317,14 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         &dyn Topology,
         &dyn RoutingAlgorithm,
         &[Packet],
-        &[Option<PacketId>],
-        &[PacketId],
+        &[Option<u32>],
+        &[u32],
         &[bool],
     ) {
         (
             self.topo,
             self.algo,
-            &self.packets,
+            &self.slots,
             &self.channel_owner,
             &self.in_flight,
             &self.faulty,
@@ -1237,6 +1335,8 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::DeliveryLog;
+    use crate::packet::PacketState;
     use crate::patterns::{Transpose, Uniform};
     use turnroute_core::{DimensionOrder, NegativeFirst, WestFirst};
     use turnroute_topology::Mesh;
@@ -1248,6 +1348,11 @@ mod tests {
             .deadlock_threshold(2_000)
     }
 
+    /// A quiet simulation that keeps its delivered packets.
+    fn logged<'a>(mesh: &'a Mesh, algo: &'a dyn RoutingAlgorithm) -> Simulation<'a, DeliveryLog> {
+        Simulation::with_observer(mesh, algo, &Uniform, quiet_config(), DeliveryLog::default())
+    }
+
     #[test]
     fn single_packet_pipeline_latency() {
         // One 10-flit packet over d hops takes d + 10 cycles to deliver
@@ -1255,15 +1360,15 @@ mod tests {
         // cycle d + 10 - 1... measured inclusive below).
         let mesh = Mesh::new_2d(8, 8);
         let algo = DimensionOrder::new();
-        let config = quiet_config();
-        let mut sim = Simulation::new(&mesh, &algo, &Uniform, config);
+        let mut sim = logged(&mesh, &algo);
         let src = mesh.node_at(&[0, 0].into());
         let dst = mesh.node_at(&[4, 0].into());
         let id = sim.inject_message(src, dst, 10);
         for _ in 0..100 {
             assert!(sim.step().is_none());
         }
-        let p = sim.packet(id);
+        assert!(sim.packet(id).is_none(), "no longer a live worm");
+        let p = sim.observer().get(id).expect("delivered");
         assert_eq!(p.state(), PacketState::Delivered);
         // Distance 4: header advances one hop per cycle starting at
         // cycle 0; the header reaches the destination at cycle 3 (end of
@@ -1286,7 +1391,7 @@ mod tests {
         for _ in 0..4 {
             sim.step();
         }
-        let p = sim.packet(id);
+        let p = sim.packet(id).expect("in flight");
         assert_eq!(p.flits_in_network(), 3);
         assert!(p.injection_complete());
     }
@@ -1295,7 +1400,7 @@ mod tests {
     fn two_packets_share_the_network_without_collision() {
         let mesh = Mesh::new_2d(4, 4);
         let algo = WestFirst::minimal();
-        let mut sim = Simulation::new(&mesh, &algo, &Uniform, quiet_config());
+        let mut sim = logged(&mesh, &algo);
         let a = sim.inject_message(
             mesh.node_at(&[0, 0].into()),
             mesh.node_at(&[3, 3].into()),
@@ -1309,8 +1414,9 @@ mod tests {
         for _ in 0..300 {
             sim.step();
         }
-        assert_eq!(sim.packet(a).state(), PacketState::Delivered);
-        assert_eq!(sim.packet(b).state(), PacketState::Delivered);
+        assert!(sim.observer().get(a).is_some());
+        assert!(sim.observer().get(b).is_some());
+        assert_eq!(sim.in_flight().len(), 0);
         // Every channel was released.
         for c in 0..mesh.num_channels() {
             assert_eq!(sim.channel_owner(ChannelId::new(c)), None);
@@ -1321,30 +1427,32 @@ mod tests {
     fn injection_serializes_per_node() {
         let mesh = Mesh::new_2d(4, 4);
         let algo = DimensionOrder::new();
-        let mut sim = Simulation::new(&mesh, &algo, &Uniform, quiet_config());
+        let mut sim = logged(&mesh, &algo);
         let src = mesh.node_at(&[0, 0].into());
         let a = sim.inject_message(src, mesh.node_at(&[3, 0].into()), 50);
         let b = sim.inject_message(src, mesh.node_at(&[0, 3].into()), 10);
         sim.step();
         // Packet a claimed the injection channel; b still queued.
-        assert_eq!(sim.packet(a).state(), PacketState::InFlight);
-        assert_eq!(sim.packet(b).state(), PacketState::Queued);
+        assert_eq!(sim.packet(a).unwrap().state(), PacketState::InFlight);
+        assert!(sim.packet(b).is_none());
+        assert_eq!(sim.queued_messages(), 1);
         // b cannot inject before a's tail leaves the source (50 flits).
         for _ in 0..40 {
             sim.step();
-            assert_eq!(sim.packet(b).state(), PacketState::Queued);
+            assert!(sim.packet(b).is_none());
+            assert_eq!(sim.queued_messages(), 1);
         }
         for _ in 0..300 {
             sim.step();
         }
-        assert_eq!(sim.packet(b).state(), PacketState::Delivered);
+        assert!(sim.observer().get(b).is_some());
     }
 
     #[test]
     fn contended_channel_blocks_the_later_header() {
         let mesh = Mesh::new_2d(4, 4);
         let algo = DimensionOrder::new();
-        let mut sim = Simulation::new(&mesh, &algo, &Uniform, quiet_config());
+        let mut sim = logged(&mesh, &algo);
         // Both packets need the north channel out of (1,0).
         let first = sim.inject_message(
             mesh.node_at(&[0, 0].into()),
@@ -1362,14 +1470,14 @@ mod tests {
         // While the first worm streams, the second stays queued.
         for _ in 0..10 {
             sim.step();
-            assert_eq!(sim.packet(second).state(), PacketState::Queued);
+            assert!(sim.packet(second).is_none());
+            assert_eq!(sim.queued_messages(), 1);
         }
         for _ in 0..200 {
             sim.step();
         }
-        let (p1, p2) = (sim.packet(first), sim.packet(second));
-        assert_eq!(p1.state(), PacketState::Delivered);
-        assert_eq!(p2.state(), PacketState::Delivered);
+        let log = sim.observer();
+        let (p1, p2) = (log.get(first).unwrap(), log.get(second).unwrap());
         assert!(p1.delivered_at.unwrap() < p2.delivered_at.unwrap());
     }
 
@@ -1437,6 +1545,23 @@ mod tests {
                 .filter(|&c| sim.channel_owner(ChannelId::new(c)).is_some())
                 .count();
             assert_eq!(owned, owners);
+            // The columns mirror the slots, every slot is either in
+            // flight or free, and a free slot holds nothing its next
+            // occupant could inherit.
+            assert_eq!(sim.in_flight.len() + sim.free.len(), sim.slots.len());
+            for (s, p) in sim.slots.iter().enumerate() {
+                assert_eq!(sim.lanes.seq[s], p.id.0);
+                assert_eq!(sim.lanes.head_node[s], p.head_node);
+                assert_eq!(sim.lanes.stranded[s], p.is_stranded);
+                let free = sim.free.contains(&(s as u32));
+                assert_eq!(free, p.state() == PacketState::Delivered);
+                assert_eq!(free, !sim.in_flight.contains(&(s as u32)));
+                if free {
+                    assert!(p.worm.is_empty() && p.worm_head == 0);
+                    assert_eq!(sim.lanes.blocked[s], 0);
+                    assert!(!sim.at_dest.contains(&(s as u32)));
+                }
+            }
         }
     }
 
@@ -1588,7 +1713,7 @@ mod tests {
     fn message_injected_mid_run_requests_on_the_next_step() {
         let mesh = Mesh::new_2d(4, 4);
         let algo = DimensionOrder::new();
-        let mut sim = Simulation::new(&mesh, &algo, &Uniform, quiet_config());
+        let mut sim = logged(&mesh, &algo);
         let src = mesh.node_at(&[1, 1].into());
         let first = sim.inject_message(src, mesh.node_at(&[3, 1].into()), 2);
         for _ in 0..20 {
@@ -1597,36 +1722,33 @@ mod tests {
             // builds).
             assert_eq!(sim.queued_messages(), 0);
         }
-        assert_eq!(sim.packet(first).state(), PacketState::Delivered);
+        assert!(sim.observer().get(first).is_some());
         assert_eq!(sim.queued_messages(), 0);
         // The node's queue emptied and its bit cleared; a new message
         // must set it again and be granted at the very next step.
         let second = sim.inject_message(src, mesh.node_at(&[1, 3].into()), 2);
         assert_eq!(sim.queued_messages(), 1);
         sim.step();
-        assert_eq!(sim.packet(second).state(), PacketState::InFlight);
+        assert_eq!(sim.packet(second).unwrap().state(), PacketState::InFlight);
         assert_eq!(sim.queued_messages(), 0);
     }
 
     #[test]
-    fn delivered_packets_give_their_worm_storage_back() {
+    #[should_panic(expected = "at least one flit")]
+    fn zero_length_rejected() {
         let mesh = Mesh::new_2d(4, 4);
         let algo = DimensionOrder::new();
         let mut sim = Simulation::new(&mesh, &algo, &Uniform, quiet_config());
-        let id = sim.inject_message(
-            mesh.node_at(&[0, 0].into()),
-            mesh.node_at(&[3, 3].into()),
-            5,
-        );
-        for _ in 0..40 {
-            sim.step();
-        }
-        let p = sim.packet(id);
-        assert_eq!(p.state(), PacketState::Delivered);
-        assert_eq!(p.hops(), 6);
-        assert!(p.worm().is_empty());
-        assert_eq!(p.flits_in_network(), 0);
-        assert_eq!(p.worm.capacity(), 0);
+        sim.inject_message(NodeId::new(0), NodeId::new(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-addressed")]
+    fn self_addressed_rejected() {
+        let mesh = Mesh::new_2d(4, 4);
+        let algo = DimensionOrder::new();
+        let mut sim = Simulation::new(&mesh, &algo, &Uniform, quiet_config());
+        sim.inject_message(NodeId::new(3), NodeId::new(3), 5);
     }
 
     #[test]

@@ -17,10 +17,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 
-use super::{RunOutcome, SimReport, Simulation, MAX_DIRS};
+use super::{RunOutcome, SimReport, Simulation, Who, MAX_DIRS};
 use crate::config::InputSelection;
 use crate::obs::SimObserver;
-use crate::packet::PacketId;
 use turnroute_topology::ChannelId;
 
 /// Hard cap on worker threads per run, far above any sensible core
@@ -32,14 +31,14 @@ const MAX_SHARDS: usize = 256;
 /// a time, then the coordinator — never concurrently).
 struct ShardScratch {
     /// Requester buffer, kept across cycles to avoid reallocation.
-    requesters: Vec<PacketId>,
+    requesters: Vec<Who>,
     /// This shard's grants, in global-key order within the shard.
-    grants: Vec<(PacketId, ChannelId)>,
+    grants: Vec<(Who, ChannelId)>,
     /// Headers whose pruned direction set came up permanently empty.
-    newly_stranded: Vec<PacketId>,
+    newly_stranded: Vec<Who>,
     /// Headers found with a non-empty permitted set and no free
     /// in-service candidate: the merge stamps them parked.
-    newly_blocked: Vec<PacketId>,
+    newly_blocked: Vec<Who>,
     /// Shard-local epoch-stamped "granted this cycle" marks (see
     /// [`super::Scratch::granted_epoch`]).
     granted_epoch: Vec<u64>,
@@ -209,16 +208,16 @@ impl<'a, O: SimObserver + Send + Sync> Simulation<'a, O> {
         out.newly_blocked.clear();
         let epoch = self.cycle + 1;
         let mut candidates = [ChannelId::new(0); MAX_DIRS];
-        for &id in &out.requesters {
-            let (count, permitted) = self.candidates_deterministic(id, &mut candidates);
+        for &who in &out.requesters {
+            let (count, permitted) = self.candidates_deterministic(who, &mut candidates);
             if count == 0 {
                 // Candidate channels all exit the head node, so "free"
                 // here can only be invalidated by an earlier grant in
                 // *this* shard — which the epoch marks below record.
                 if !permitted.is_empty() {
-                    out.newly_blocked.push(id);
-                } else if self.strands_permanently(id) {
-                    out.newly_stranded.push(id);
+                    out.newly_blocked.push(who);
+                } else if self.strands_permanently(who) {
+                    out.newly_stranded.push(who);
                 }
                 continue;
             }
@@ -227,7 +226,7 @@ impl<'a, O: SimObserver + Send + Sync> Simulation<'a, O> {
                 .find(|c| out.granted_epoch[c.index()] != epoch)
             {
                 out.granted_epoch[channel.index()] = epoch;
-                out.grants.push((id, channel));
+                out.grants.push((who, channel));
             }
         }
     }
@@ -244,20 +243,20 @@ impl<'a, O: SimObserver + Send + Sync> Simulation<'a, O> {
         for out in outs {
             let out = out.lock().unwrap();
             grants.extend_from_slice(&out.grants);
-            for &id in &out.newly_stranded {
-                self.strand(id);
+            for &who in &out.newly_stranded {
+                self.strand(who);
             }
-            for &id in &out.newly_blocked {
-                self.lanes.blocked[id.0 as usize] = self.cycle + 1;
+            for &who in &out.newly_blocked {
+                self.park(who);
             }
             self.requesters_evaluated += out.requesters.len() as u64;
         }
         match self.config.input_selection {
             InputSelection::FirstComeFirstServed => {
-                grants.sort_unstable_by_key(|&(id, _)| self.fcfs_key(id));
+                grants.sort_unstable_by_key(|&(who, _)| self.fcfs_key(who));
             }
             InputSelection::FixedPriority => {
-                grants.sort_unstable_by_key(|&(id, _)| self.fixed_priority_key(id));
+                grants.sort_unstable_by_key(|&(who, _)| self.fixed_priority_key(who));
             }
             InputSelection::Random => unreachable!("Random falls back to the serial path"),
         }

@@ -756,8 +756,15 @@ impl Executor {
             work(&shared);
         } else {
             std::thread::scope(|scope| {
-                for _ in 0..self.threads {
-                    scope.spawn(|| work(&shared));
+                let workers: Vec<_> = (0..self.threads)
+                    .map(|_| scope.spawn(|| work(&shared)))
+                    .collect();
+                // Joined by hand so a cell's panic reaches the caller
+                // with its own message, not the scope's generic one.
+                for worker in workers {
+                    if let Err(payload) = worker.join() {
+                        std::panic::resume_unwind(payload);
+                    }
                 }
             });
         }

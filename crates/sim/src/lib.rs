@@ -68,8 +68,8 @@ pub use hist::LatencyHistogram;
 pub use lut::{RouteTable, RouteTableMode, DEFAULT_ROUTE_TABLE_BUDGET};
 pub use metrics::MetricsCollector;
 pub use obs::{
-    ChannelActivityObserver, FaultObserver, FlitTraceObserver, NoopObserver, SimObserver,
-    TurnUsageObserver,
+    ChannelActivityObserver, DeliveryLog, FaultObserver, FlitTraceObserver, NoopObserver,
+    SimObserver, TurnUsageObserver,
 };
 pub use oplog::{Level, Logger};
 pub use packet::{Packet, PacketId, PacketState};

@@ -22,7 +22,10 @@ pub struct MetricsCollector {
     /// Network latencies (injection to tail delivery) of the same
     /// messages.
     pub network_latencies: LatencyHistogram,
-    /// Header hop counts of the same messages.
+    /// Header hop counts of the same messages, in delivery order: 4
+    /// bytes per windowed delivery, read by the oracle comparison and
+    /// the benchmark suite — and, now that packets live in recycled
+    /// slots, the only structure left that grows with every message.
     pub hop_counts: Vec<u32>,
     /// Samples of the total number of queued messages, taken
     /// periodically during the window.

@@ -29,7 +29,9 @@
 //! * [`ChannelActivityObserver`] — per-channel occupancy and
 //!   blocked-cycle heatmaps;
 //! * [`FlitTraceObserver`] — flit-level event capture written out as
-//!   Chrome trace-event JSON (loads directly in Perfetto).
+//!   Chrome trace-event JSON (loads directly in Perfetto);
+//! * [`DeliveryLog`] — a copy of every delivered packet, for callers
+//!   that want the per-message history the engine does not keep.
 //!
 //! Compose observers with tuples: `(TurnUsageObserver, FlitTraceObserver)`
 //! implements [`SimObserver`] and forwards every hook to both.
@@ -45,7 +47,7 @@ pub use trace::FlitTraceObserver;
 pub use turns::TurnUsageObserver;
 
 use crate::deadlock::DeadlockReport;
-use crate::packet::PacketId;
+use crate::packet::{Packet, PacketId};
 use turnroute_topology::{ChannelId, Direction, NodeId};
 
 /// Hooks invoked by the simulation engine at each micro-event.
@@ -57,10 +59,15 @@ use turnroute_topology::{ChannelId, Direction, NodeId};
 /// randomness of their own — determinism of the simulation with
 /// observers attached is part of the layer's contract.
 pub trait SimObserver {
-    /// `true` if this observer actually consumes events. The engine
-    /// skips computing *expensive hook arguments* when `ENABLED` is
-    /// `false`; since it is an associated constant, the check and the
-    /// computation both fold away at compile time for [`NoopObserver`].
+    /// `true` if this observer needs the per-requester stream: one
+    /// [`packet_blocked`](SimObserver::packet_blocked) per blocked
+    /// header per cycle, whose `wanted_channel` argument costs a
+    /// topology query. Feeding it makes arbitration visit every blocked
+    /// header every cycle instead of parking it, and rules out sharding.
+    /// An observer that sets this to `false` (as [`NoopObserver`] and
+    /// [`DeliveryLog`] do) still receives every other hook, and the run
+    /// costs what an unobserved one does; since it is an associated
+    /// constant, the check folds away at compile time.
     const ENABLED: bool = true;
 
     /// A packet left its source queue and entered the network (its
@@ -117,6 +124,13 @@ pub trait SimObserver {
     /// tail flit (the packet is now fully delivered).
     fn flit_delivered(&mut self, _cycle: u64, _packet: PacketId, _done: bool) {}
 
+    /// `packet`'s tail flit was consumed at `cycle` (right after its
+    /// last [`flit_delivered`](SimObserver::flit_delivered)). This is
+    /// the last anyone sees of it: the engine keeps no delivered
+    /// history, and the storage behind `packet` is reused by a later
+    /// injection, so an observer that wants the record clones it here.
+    fn packet_delivered(&mut self, _cycle: u64, _packet: &Packet) {}
+
     /// The deadlock watchdog fired and produced `report`.
     fn watchdog_fired(&mut self, _cycle: u64, _report: &DeadlockReport) {}
 
@@ -139,6 +153,36 @@ pub struct NoopObserver;
 
 impl SimObserver for NoopObserver {
     const ENABLED: bool = false;
+}
+
+/// Keeps a copy of every delivered packet, in delivery order — the
+/// per-message history the engine itself no longer holds. O(messages
+/// delivered), so it is for tests, examples and short diagnostic runs,
+/// not for sweeps. Not [`ENABLED`](SimObserver::ENABLED): attaching it
+/// leaves parking and sharding on.
+#[derive(Debug, Clone, Default)]
+pub struct DeliveryLog {
+    delivered: Vec<Packet>,
+}
+
+impl DeliveryLog {
+    /// The delivered packets so far, in delivery order.
+    pub fn delivered(&self) -> &[Packet] {
+        &self.delivered
+    }
+
+    /// The delivered packet with the given id, if it has been.
+    pub fn get(&self, id: PacketId) -> Option<&Packet> {
+        self.delivered.iter().find(|p| p.id == id)
+    }
+}
+
+impl SimObserver for DeliveryLog {
+    const ENABLED: bool = false;
+
+    fn packet_delivered(&mut self, _cycle: u64, packet: &Packet) {
+        self.delivered.push(packet.clone());
+    }
 }
 
 /// Forwarding impl so a simulation can borrow an observer owned by the
@@ -173,6 +217,9 @@ impl<O: SimObserver> SimObserver for &mut O {
     }
     fn flit_delivered(&mut self, cycle: u64, packet: PacketId, done: bool) {
         (**self).flit_delivered(cycle, packet, done);
+    }
+    fn packet_delivered(&mut self, cycle: u64, packet: &Packet) {
+        (**self).packet_delivered(cycle, packet);
     }
     fn watchdog_fired(&mut self, cycle: u64, report: &DeadlockReport) {
         (**self).watchdog_fired(cycle, report);
@@ -224,6 +271,10 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
     fn flit_delivered(&mut self, cycle: u64, packet: PacketId, done: bool) {
         self.0.flit_delivered(cycle, packet, done);
         self.1.flit_delivered(cycle, packet, done);
+    }
+    fn packet_delivered(&mut self, cycle: u64, packet: &Packet) {
+        self.0.packet_delivered(cycle, packet);
+        self.1.packet_delivered(cycle, packet);
     }
     fn watchdog_fired(&mut self, cycle: u64, report: &DeadlockReport) {
         self.0.watchdog_fired(cycle, report);

@@ -2,31 +2,49 @@
 
 use turnroute_topology::{ChannelId, Direction, NodeId};
 
-/// Identifies a packet across the simulation.
+/// Identifies a message across the simulation: its creation sequence
+/// number (the n-th message generated or hand-injected is `n`). Stable
+/// for the whole run and carried by every observer event, deadlock
+/// report and trace — but **not an index** into anything: storage is a
+/// recycled slot arena (see [`Simulation::packets`]), and the id
+/// outlives the slot.
+///
+/// [`Simulation::packets`]: crate::Simulation::packets
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(pub(crate) u64);
 
 impl PacketId {
-    /// The dense index of this packet (creation order).
+    /// The creation sequence number.
     pub fn index(self) -> u64 {
         self.0
     }
 }
 
-/// Where a packet is in its lifecycle.
+/// Where a worm is in its lifecycle. A message waiting in its source
+/// queue is not a [`Packet`] yet: it becomes one when its header is
+/// granted its first channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketState {
-    /// Waiting in its source processor's queue.
-    Queued,
     /// Streaming flits into / through the network.
     InFlight,
     /// Every flit consumed at the destination.
     Delivered,
 }
 
-/// A message (one packet, as in the paper's Section 6) and, once
-/// injected, its worm: the contiguous chain of channels its flits
-/// occupy, one flit per channel.
+/// A message waiting in its source queue: all the engine needs until
+/// the header is granted its first channel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Queued {
+    /// Creation sequence number (the future [`PacketId`]).
+    pub(crate) seq: u64,
+    pub(crate) dst: NodeId,
+    pub(crate) length: u32,
+    pub(crate) created_at: u64,
+}
+
+/// A message (one packet, as in the paper's Section 6) from its first
+/// channel to its delivery, and its worm: the contiguous chain of
+/// channels its flits occupy, one flit per channel.
 ///
 /// With single-flit input buffers, a wormhole packet's flits advance in
 /// lockstep: when the head moves one hop, every flit behind it shifts one
@@ -45,14 +63,15 @@ pub struct Packet {
     pub length: u32,
     /// Cycle the message was created (entered the source queue).
     pub created_at: u64,
-    /// Cycle the header first entered the network, if it has.
-    pub injected_at: Option<u64>,
+    /// Cycle the header entered the network.
+    pub injected_at: u64,
     /// Cycle the tail flit was consumed, if delivered.
     pub delivered_at: Option<u64>,
     /// Channels the header has taken, in order. The occupied chain is
     /// `worm[worm_head..]` (tail first, head last), each holding exactly
     /// one flit; drained channels stay in the prefix so releasing the
-    /// tail is a cursor bump, not a `Vec::remove(0)` shift.
+    /// tail is a cursor bump, not a `Vec::remove(0)` shift. Emptied on
+    /// delivery; the buffer goes to the slot's next occupant.
     pub(crate) worm: Vec<ChannelId>,
     /// Index of the tail flit's channel within `worm`.
     pub(crate) worm_head: usize,
@@ -66,9 +85,9 @@ pub struct Packet {
     /// Flits consumed at the destination.
     pub(crate) flits_consumed: u32,
     /// The router the header currently occupies (the head channel's
-    /// `dst`, or `src` before injection).
+    /// `dst`).
     pub(crate) head_node: NodeId,
-    /// Direction of the head channel (`None` before injection).
+    /// Direction of the head channel.
     pub(crate) arrived: Option<Direction>,
     /// Cycle the header arrived at `head_node` (for FCFS arbitration).
     pub(crate) head_arrival: u64,
@@ -77,32 +96,27 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Creates a queued packet.
-    pub(crate) fn new(
-        id: PacketId,
-        src: NodeId,
-        dst: NodeId,
-        length: u32,
-        created_at: u64,
-    ) -> Self {
-        assert!(length > 0, "packets have at least one flit");
-        assert_ne!(src, dst, "self-addressed packets are consumed locally");
+    /// The packet `message` becomes when its header leaves `src` at
+    /// `cycle`, about to take its first channel. `worm` is an empty
+    /// buffer to build the chain in (a recycled slot passes its old one).
+    pub(crate) fn start(message: Queued, src: NodeId, cycle: u64, worm: Vec<ChannelId>) -> Self {
+        debug_assert!(worm.is_empty());
         Packet {
-            id,
+            id: PacketId(message.seq),
             src,
-            dst,
-            length,
-            created_at,
-            injected_at: None,
+            dst: message.dst,
+            length: message.length,
+            created_at: message.created_at,
+            injected_at: cycle,
             delivered_at: None,
-            worm: Vec::new(),
+            worm,
             worm_head: 0,
             is_stranded: false,
-            flits_at_source: length,
+            flits_at_source: message.length,
             flits_consumed: 0,
             head_node: src,
             arrived: None,
-            head_arrival: created_at,
+            head_arrival: message.created_at,
             hops: 0,
         }
     }
@@ -111,10 +125,8 @@ impl Packet {
     pub fn state(&self) -> PacketState {
         if self.delivered_at.is_some() {
             PacketState::Delivered
-        } else if self.injected_at.is_some() {
-            PacketState::InFlight
         } else {
-            PacketState::Queued
+            PacketState::InFlight
         }
     }
 
@@ -171,10 +183,7 @@ impl Packet {
     /// Latency from injection to delivery, in cycles (excludes source
     /// queueing). `None` until delivered.
     pub fn network_latency_cycles(&self) -> Option<u64> {
-        match (self.injected_at, self.delivered_at) {
-            (Some(i), Some(d)) => Some(d - i),
-            _ => None,
-        }
+        self.delivered_at.map(|d| d - self.injected_at)
     }
 }
 
@@ -183,13 +192,25 @@ mod tests {
     use super::*;
 
     fn packet() -> Packet {
-        Packet::new(PacketId(1), NodeId::new(0), NodeId::new(5), 10, 100)
+        let message = Queued {
+            seq: 1,
+            dst: NodeId::new(5),
+            length: 10,
+            created_at: 100,
+        };
+        Packet::start(message, NodeId::new(0), 120, Vec::new())
     }
 
     #[test]
-    fn fresh_packet_is_queued() {
+    fn queued_records_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<Queued>(), 24);
+    }
+
+    #[test]
+    fn fresh_packet_is_in_flight_at_its_source() {
         let p = packet();
-        assert_eq!(p.state(), PacketState::Queued);
+        assert_eq!(p.id, PacketId(1));
+        assert_eq!(p.state(), PacketState::InFlight);
         assert_eq!(p.flits_in_network(), 0);
         assert_eq!(p.head_node(), NodeId::new(0));
         assert!(!p.injection_complete());
@@ -199,22 +220,9 @@ mod tests {
     #[test]
     fn latency_accounts_from_creation() {
         let mut p = packet();
-        p.injected_at = Some(120);
         p.delivered_at = Some(150);
         assert_eq!(p.state(), PacketState::Delivered);
         assert_eq!(p.latency_cycles(), Some(50));
         assert_eq!(p.network_latency_cycles(), Some(30));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one flit")]
-    fn zero_length_rejected() {
-        let _ = Packet::new(PacketId(0), NodeId::new(0), NodeId::new(1), 0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-addressed")]
-    fn self_addressed_rejected() {
-        let _ = Packet::new(PacketId(0), NodeId::new(3), NodeId::new(3), 5, 0);
     }
 }

@@ -4,10 +4,11 @@
 
 use turnroute_core::{DimensionOrder, WestFirst};
 use turnroute_fault::FaultPlan;
+use turnroute_sim::obs::SimObserver;
 use turnroute_sim::patterns::{TrafficPattern, Uniform};
 use turnroute_sim::{
-    FaultObserver, InputSelection, OutputSelection, RouteTableMode, RunOutcome, SimConfig,
-    Simulation,
+    DeliveryLog, FaultObserver, InputSelection, OutputSelection, RouteTableMode, RunOutcome,
+    SimConfig, Simulation,
 };
 use turnroute_topology::{Direction, Mesh, NodeId, Topology};
 
@@ -21,7 +22,7 @@ fn config() -> SimConfig {
 }
 
 /// Kills the eastward channel out of `(3, 3)`.
-fn fail_one_link(sim: &mut Simulation<'_>, mesh: &Mesh) {
+fn fail_one_link<O: SimObserver>(sim: &mut Simulation<'_, O>, mesh: &Mesh) {
     let from = mesh.node_at(&[3, 3].into());
     sim.fail_channel(mesh.channel_from(from, Direction::EAST).expect("interior"));
 }
@@ -58,11 +59,12 @@ fn nonminimal_west_first_routes_around_a_dead_link() {
     let mesh = Mesh::new_2d(8, 8);
     let algo = WestFirst::nonminimal();
     // Only three row-3 west-side nodes generate: give them a high rate.
-    let mut sim = Simulation::new(
+    let mut sim = Simulation::with_observer(
         &mesh,
         &algo,
         &CrossTraffic,
         config().injection_rate(0.15).measure_cycles(16_000),
+        DeliveryLog::default(),
     );
     fail_one_link(&mut sim, &mesh);
     let report = sim.run();
@@ -74,9 +76,9 @@ fn nonminimal_west_first_routes_around_a_dead_link() {
     // Packets bound for row 3 cannot cross minimally: they detour one
     // row and come back, exceeding the minimal hop count.
     let detours = sim
-        .packets()
+        .observer()
+        .delivered()
         .iter()
-        .filter(|p| p.delivered_at.is_some())
         .filter(|p| p.hops() > mesh.distance(p.src, p.dst) as u32)
         .count();
     assert!(detours > 0, "some routes must be nonminimal");
@@ -131,11 +133,7 @@ fn repair_restores_service() {
     for _ in 0..20_000 {
         sim.step();
     }
-    let delivered = sim
-        .packets()
-        .iter()
-        .filter(|p| p.delivered_at.is_some())
-        .count();
+    let delivered = sim.total_delivered();
     assert!(delivered > 50, "{delivered}");
 }
 
@@ -223,11 +221,12 @@ fn isolating_a_node_strands_and_repairing_drains() {
     // the run drain the blocked packets.
     let mesh = Mesh::new_2d(8, 8);
     let algo = DimensionOrder::new();
-    let mut sim = Simulation::new(
+    let mut sim = Simulation::with_observer(
         &mesh,
         &algo,
         &CrossTraffic,
         config().injection_rate(0.15).deadlock_threshold(1_500),
+        DeliveryLog::default(),
     );
     let center = mesh.node_at(&[3, 3].into());
     let out: Vec<_> = [
@@ -264,7 +263,7 @@ fn isolating_a_node_strands_and_repairing_drains() {
     }
     for id in &report.stranded {
         assert!(
-            sim.packets()[id.index() as usize].delivered_at.is_some(),
+            sim.observer().get(*id).is_some(),
             "packet {} still undelivered after repair",
             id.index()
         );

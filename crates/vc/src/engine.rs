@@ -663,6 +663,7 @@ mod tests {
     use crate::mady::MadY;
     use crate::routing::SingleClass;
     use turnroute_core::{DimensionOrder, NegativeFirst};
+    use turnroute_sim::obs::DeliveryLog;
     use turnroute_sim::patterns::{Transpose, Uniform};
     use turnroute_sim::Simulation;
     use turnroute_topology::{Mesh, Torus};
@@ -678,7 +679,8 @@ mod tests {
     fn single_packet_latency_matches_the_plain_engine() {
         let mesh = Mesh::new_2d(8, 8);
         let plain = DimensionOrder::new();
-        let mut base = Simulation::new(&mesh, &plain, &Uniform, quiet());
+        let mut base =
+            Simulation::with_observer(&mesh, &plain, &Uniform, quiet(), DeliveryLog::default());
         let src = mesh.node_at(&[0, 0].into());
         let dst = mesh.node_at(&[4, 0].into());
         let base_id = base.inject_message(src, dst, 10);
@@ -695,7 +697,11 @@ mod tests {
         }
         // Delivered during the step that just ended.
         assert_eq!(
-            base.packet(base_id).latency_cycles().unwrap(),
+            base.observer()
+                .get(base_id)
+                .unwrap()
+                .latency_cycles()
+                .unwrap(),
             vcsim.cycle() - 1
         );
     }

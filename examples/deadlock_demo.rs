@@ -63,10 +63,6 @@ fn main() {
             panic!("west-first cannot deadlock, but: {report}");
         }
     }
-    let delivered = sim
-        .packets()
-        .iter()
-        .filter(|p| p.delivered_at.is_some())
-        .count();
+    let delivered = sim.total_delivered();
     println!("30,000 cycles, no deadlock, {delivered} messages delivered.");
 }

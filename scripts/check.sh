@@ -63,6 +63,21 @@ for args in tests/fixtures/vc_golden/*.args; do
   cargo run --release -q -- $(cat "$args") | cmp - "${args%.args}.json"
 done
 
+echo "==> plain golden outputs (stdout and Chrome trace: bytes identical to the recorded engine)"
+# The oracle compares reports; these pin what it cannot see — CLI
+# rendering, fault-plan replay, the sweep's skip rule and, through the
+# trace file, that packet ids are creation order rather than storage
+# slots. Recorded before the arena was recycled; NAME.args is the
+# command line, NAME.out its stdout, NAME.trace.json its --trace file.
+mkdir -p target
+for args in tests/fixtures/plain_golden/*.args; do
+  # shellcheck disable=SC2046
+  cargo run --release -q -- $(cat "$args") 2>/dev/null | cmp - "${args%.args}.out"
+  if [[ -e "${args%.args}.trace.json" ]]; then
+    cmp target/plain_golden.trace.json "${args%.args}.trace.json"
+  fi
+done
+
 echo "==> conformance soak (256 cases, fixed seed)"
 cargo run --release -q -p turnroute-check --bin conformance -- \
   --cases 256 --seed 3405705229 --json target/conformance.json

@@ -8,7 +8,7 @@ use turnroute::core::{
 use turnroute::sim::patterns::{
     BitComplement, HypercubeTranspose, ReverseFlip, TrafficPattern, Transpose, Uniform,
 };
-use turnroute::sim::{PacketState, RunOutcome, SimConfig, Simulation};
+use turnroute::sim::{DeliveryLog, PacketState, RunOutcome, SimConfig, Simulation};
 use turnroute::topology::{Hypercube, Mesh, Topology};
 
 fn config() -> SimConfig {
@@ -21,7 +21,7 @@ fn config() -> SimConfig {
 }
 
 fn check(topo: &dyn Topology, algo: &dyn RoutingAlgorithm, pattern: &dyn TrafficPattern) {
-    let mut sim = Simulation::new(topo, algo, pattern, config());
+    let mut sim = Simulation::with_observer(topo, algo, pattern, config(), DeliveryLog::default());
     let report = sim.run();
     let label = format!("{} / {} / {}", topo.label(), algo.name(), pattern.name());
     assert!(
@@ -40,18 +40,19 @@ fn check(topo: &dyn Topology, algo: &dyn RoutingAlgorithm, pattern: &dyn Traffic
     );
 
     // Per-packet sanity on everything that was delivered.
-    for p in sim.packets() {
-        if p.state() == PacketState::Delivered {
-            assert!(p.hops() >= topo.distance(p.src, p.dst) as u32);
-            if algo.is_minimal() {
-                assert_eq!(
-                    p.hops(),
-                    topo.distance(p.src, p.dst) as u32,
-                    "{label}: minimal algorithm took a detour"
-                );
-            }
-            assert!(p.latency_cycles().unwrap() >= p.hops() as u64);
+    let delivered = sim.observer().delivered();
+    assert_eq!(delivered.len() as u64, report.total_delivered, "{label}");
+    for p in delivered {
+        assert_eq!(p.state(), PacketState::Delivered);
+        assert!(p.hops() >= topo.distance(p.src, p.dst) as u32);
+        if algo.is_minimal() {
+            assert_eq!(
+                p.hops(),
+                topo.distance(p.src, p.dst) as u32,
+                "{label}: minimal algorithm took a detour"
+            );
         }
+        assert!(p.latency_cycles().unwrap() >= p.hops() as u64);
     }
 }
 

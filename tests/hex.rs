@@ -9,7 +9,7 @@ use turnroute::core::{
     TurnSetRouting,
 };
 use turnroute::sim::patterns::Uniform;
-use turnroute::sim::{LengthDistribution, RunOutcome, SimConfig, Simulation};
+use turnroute::sim::{DeliveryLog, LengthDistribution, RunOutcome, SimConfig, Simulation};
 use turnroute::topology::{HexMesh, NodeId, Topology};
 
 #[test]
@@ -83,7 +83,13 @@ fn hex_simulation_runs_all_algorithms() {
         Box::new(NegativeFirst::with_dims(3, true)),
     ];
     for algo in &algos {
-        let mut sim = Simulation::new(&hex, algo.as_ref(), &Uniform, config.clone());
+        let mut sim = Simulation::with_observer(
+            &hex,
+            algo.as_ref(),
+            &Uniform,
+            config.clone(),
+            DeliveryLog::default(),
+        );
         let report = sim.run();
         assert!(
             matches!(report.outcome, RunOutcome::Completed),
@@ -93,10 +99,10 @@ fn hex_simulation_runs_all_algorithms() {
         assert!(report.sustainable(), "{}", algo.name());
         assert!(report.total_delivered > 50);
         // Minimality of every delivered packet.
-        for p in sim.packets() {
-            if p.delivered_at.is_some() {
-                assert_eq!(p.hops(), hex.distance(p.src, p.dst) as u32);
-            }
+        let delivered = sim.observer().delivered();
+        assert_eq!(delivered.len() as u64, report.total_delivered);
+        for p in delivered {
+            assert_eq!(p.hops(), hex.distance(p.src, p.dst) as u32);
         }
     }
 }

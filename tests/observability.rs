@@ -8,8 +8,9 @@ use turnroute::core::{TurnSet, TurnSetRouting, WestFirst};
 use turnroute::sim::patterns::{Transpose, Uniform};
 use turnroute::sim::report::write_csv;
 use turnroute::sim::{
-    CellOutput, ChannelActivityObserver, Executor, FlitTraceObserver, LatencyHistogram,
-    LengthDistribution, OutputSelection, SeriesJob, SimConfig, Simulation, TurnUsageObserver,
+    CellOutput, ChannelActivityObserver, DeliveryLog, Executor, FlitTraceObserver,
+    LatencyHistogram, LengthDistribution, OutputSelection, SeriesJob, SimConfig, Simulation,
+    TurnUsageObserver,
 };
 use turnroute::topology::{Mesh, Topology};
 
@@ -229,17 +230,20 @@ fn engine_histogram_quantiles_track_exact_latencies() {
         .warmup_cycles(0)
         .measure_cycles(4_000)
         .seed(9);
-    let mut sim = Simulation::new(&mesh, &algo, &Transpose, config);
+    let mut sim =
+        Simulation::with_observer(&mesh, &algo, &Transpose, config, DeliveryLog::default());
     let report = sim.run();
 
     // With no warmup, every generated message is inside the measurement
     // window (generation stops at its end), so the exact latency list is
     // just every delivered packet's.
     let mut exact: Vec<u64> = sim
-        .packets()
+        .observer()
+        .delivered()
         .iter()
         .filter_map(|p| p.latency_cycles())
         .collect();
+    assert_eq!(exact.len() as u64, report.total_delivered);
     assert!(exact.len() > 50, "only {} messages delivered", exact.len());
     assert_eq!(
         report.metrics.latencies,

@@ -12,7 +12,9 @@ use turnroute::core::{
 };
 use turnroute::experiment::ExperimentSpec;
 use turnroute::sim::patterns::Uniform;
-use turnroute::sim::{LengthDistribution, MmppSource, SimConfig, Simulation, TrafficModel};
+use turnroute::sim::{
+    DeliveryLog, LengthDistribution, MmppSource, SimConfig, Simulation, TrafficModel,
+};
 use turnroute::topology::{DirSet, Direction, Hypercube, Mesh, NodeId, Topology};
 use turnroute_rng::{Rng, StdRng};
 
@@ -192,16 +194,27 @@ fn simulator_conserves_flits() {
             .warmup_cycles(0)
             .measure_cycles(0)
             .seed(seed);
-        let mut sim = Simulation::new(&mesh, algo.as_ref(), &Uniform, config);
+        let mut sim = Simulation::with_observer(
+            &mesh,
+            algo.as_ref(),
+            &Uniform,
+            config,
+            DeliveryLog::default(),
+        );
         for _ in 0..500 {
             sim.step();
         }
-        for p in sim.packets() {
+        // Every arena slot (live worm or last delivered occupant) and
+        // every packet ever delivered accounts for all of its flits.
+        let delivered = sim.observer().delivered();
+        assert_eq!(delivered.len() as u64, sim.total_delivered());
+        for p in sim.packets().iter().chain(delivered) {
             assert_eq!(
                 p.flits_at_source() + p.flits_in_network() + p.flits_consumed(),
                 p.length
             );
         }
+        assert!(delivered.iter().all(|p| p.flits_consumed() == p.length));
     }
 }
 
