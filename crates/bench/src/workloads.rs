@@ -70,7 +70,7 @@ fn engine_config(mode: RouteTableMode) -> SimConfig {
 fn engine_run(
     mesh: &Mesh,
     algo: &dyn RoutingAlgorithm,
-    table: Option<Arc<RouteTable>>,
+    table: Option<Arc<RouteTable<'_>>>,
 ) -> (SimReport, u64) {
     let mode = if table.is_some() {
         RouteTableMode::On

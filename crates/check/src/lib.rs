@@ -2,7 +2,7 @@
 //!
 //! The optimized wormhole engine in `turnroute-sim` has three fast
 //! paths that must agree bit-for-bit: the scratch-buffer hot path, the
-//! precomputed [`RouteTable`](turnroute_sim::RouteTable), and the
+//! memoised [`RouteTable`](turnroute_sim::RouteTable), and the
 //! fault-pruned relation. This crate pins that agreement with a
 //! differential net:
 //!

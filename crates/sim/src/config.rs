@@ -203,7 +203,7 @@ pub struct SimConfig {
     pub measure_cycles: u64,
     /// Cycles of no in-flight progress after which deadlock is declared.
     pub deadlock_threshold: u64,
-    /// Whether routing decisions come from a precomputed
+    /// Whether routing decisions come from a memoised
     /// [`RouteTable`](crate::RouteTable) instead of live `route()`
     /// calls. Purely a speed knob: reports and RNG streams are
     /// bit-identical either way.

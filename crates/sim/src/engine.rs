@@ -260,10 +260,10 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     /// [`Packet::is_stranded`]; stranded packets stay in flight
     /// forever, so this never decreases).
     stranded_count: u64,
-    /// Precomputed routing decisions, when the configured
-    /// [`RouteTableMode`](crate::RouteTableMode) admits one for this
+    /// Memoised routing decisions, when the configured
+    /// [`RouteTableMode`](crate::RouteTableMode) admits a table for this
     /// `(topology, algorithm)` pair.
-    table: Option<Arc<RouteTable>>,
+    table: Option<Arc<RouteTable<'a>>>,
     scratch: Scratch,
     last_progress: u64,
     generation_enabled: bool,
@@ -304,28 +304,36 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     }
 
     /// Builds a simulation with `observer` attached and a caller-owned
-    /// route table. `None` means route directly; a `Some` table must
-    /// have been built for exactly this `(topo, algo)` pair. The sweep
-    /// executor uses this to build the table once per series and share
-    /// it across cells.
+    /// route table. `None` means route directly. The sweep executor uses
+    /// this to make the table once per series and share it across
+    /// cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `Some` table was not made for exactly this `topo`,
+    /// this `algo` and this config's cycle-0 fault set, as
+    /// [`RouteTable::for_config`] makes it (so never under a fault plan
+    /// with events after cycle 0).
     pub fn with_observer_and_table(
         topo: &'a dyn Topology,
         algo: &'a dyn RoutingAlgorithm,
         pattern: &'a dyn TrafficPattern,
         config: SimConfig,
         observer: O,
-        table: Option<Arc<RouteTable>>,
+        table: Option<Arc<RouteTable<'a>>>,
     ) -> Self {
+        if let Some(table) = &table {
+            assert!(
+                table.serves(topo, algo, config.faults.as_deref()),
+                "route table made for another topology, algorithm or fault set"
+            );
+        }
         let (fault_events, fault_repairs) = match config.faults.as_deref() {
             Some(schedule) => {
                 assert_eq!(
                     schedule.num_channels(),
                     topo.num_channels(),
                     "fault schedule compiled for a different topology"
-                );
-                assert!(
-                    schedule.is_static() || table.is_none(),
-                    "dynamic fault schedules cannot use a precomputed route table"
                 );
                 (schedule.events().to_vec(), schedule.has_repairs())
             }
@@ -388,7 +396,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         self.cycle
     }
 
-    /// `true` if routing decisions come from a precomputed
+    /// `true` if routing decisions come from a memoised
     /// [`RouteTable`] rather than live `route()` calls. Purely a speed
     /// distinction: results are bit-identical either way.
     pub fn uses_route_table(&self) -> bool {
@@ -729,7 +737,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     }
 
     /// The routing relation's answer for a header at `head`: the table
-    /// when one was built, the live algorithm otherwise — bit-identical
+    /// when one is in use, the live algorithm otherwise — bit-identical
     /// by construction.
     #[inline]
     fn permitted(&self, head: NodeId, dst: NodeId, arrived: Option<Direction>) -> DirSet {

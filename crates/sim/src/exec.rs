@@ -189,10 +189,10 @@ impl<'a> SeriesJob<'a> {
     ) -> Self {
         let config = base.clone();
         let cache_key = sim_cache_key(topo.label(), &algorithm.name(), &pattern.name(), base);
-        // One route table per series, built lazily by whichever worker
-        // reaches the first uncached cell (a fully cached series never
-        // pays for it) and shared across all the series' cells.
-        let table: OnceLock<Option<Arc<RouteTable>>> = OnceLock::new();
+        // One route table per series, made by whichever worker reaches
+        // the first uncached cell (a fully cached series never allocates
+        // it) and filled by all the series' cells.
+        let table: OnceLock<Option<Arc<RouteTable<'a>>>> = OnceLock::new();
         SeriesJob::new(
             algorithm.name(),
             pattern.name(),
@@ -201,7 +201,7 @@ impl<'a> SeriesJob<'a> {
             loads,
             move |load, seed| {
                 let table = table
-                    .get_or_init(|| RouteTable::for_config_with_faults(topo, algorithm, &config).0)
+                    .get_or_init(|| RouteTable::for_config(topo, algorithm, &config))
                     .clone();
                 let cfg = config.clone().injection_rate(load).seed(seed);
                 let report = Simulation::with_observer_and_table(

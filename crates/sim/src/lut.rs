@@ -1,16 +1,27 @@
-//! Precomputed route lookup tables for the wormhole engine's hot path.
+//! Memoised route lookup tables for the wormhole engine's hot path.
 //!
 //! The turn-model routing relations are pure functions of
 //! `(node, dst, arrived)` (see
 //! [`RoutingAlgorithm::is_tabulable`]), yet the engine re-derives them
 //! through a dyn-dispatched `route()` call for every requesting header
-//! on every cycle. A [`RouteTable`] precomputes the permitted
-//! [`DirSet`] for every triple of a `(topology, algorithm)` pair into a
-//! flat dense array — one byte per entry, since every table-eligible
-//! topology has at most 8 directions — built once and shared across
-//! sweep cells via [`Arc`]. The table is immutable after construction,
-//! so the sharded engine's arbitration workers (`engine/shard.rs`)
-//! read it concurrently through `&self` with no synchronisation.
+//! on every cycle. A [`RouteTable`] memoises the permitted [`DirSet`]
+//! of each triple in a flat dense array — one byte per entry, since
+//! every table-eligible topology has at most 8 directions. An entry is
+//! computed the first time it is looked up, so a run pays only for the
+//! states its packets visit, and the table is shared across a series'
+//! sweep cells via [`Arc`].
+//!
+//! # Filling without locks
+//!
+//! An entry holds `!DirSet::bits()` in an [`AtomicU8`], so 0 means "not
+//! computed yet". Each entry is a pure function of its key and nothing
+//! else is published through it, so `Relaxed` loads and stores are
+//! exact: sweep workers and the sharded engine's arbitration workers
+//! (`engine/shard.rs`) may race to fill one entry, but every racer
+//! stores the same byte, and every reader sees either 0 (and computes
+//! the value itself) or that byte — the value `route()` returns. The
+//! one set that encodes to 0, all eight directions, is never
+//! remembered: it is recomputed on every lookup.
 //!
 //! # Indexing
 //!
@@ -22,43 +33,48 @@
 //! ```
 //!
 //! so one lookup is a multiply-add and a byte load. The memory cost is
-//! exactly `N² * S` bytes (`16x16` mesh: 256² × 5 = 320 KiB).
+//! exactly `N² * S` bytes (`16x16` mesh: 256² × 5 = 320 KiB), allocated
+//! zeroed when the table is made.
 //!
 //! # Size cap and fallback
 //!
-//! Tables are only built when they are sound and affordable:
+//! Tables are only made when they are sound and affordable:
 //!
 //! * topologies with more than 4 dimensions (> 8 directions) cannot
 //!   pack a [`DirSet`] into one byte — never tabled;
 //! * algorithms reporting [`RoutingAlgorithm::is_tabulable`] `false`
 //!   are never tabled;
+//! * a fault plan that changes the fault set after cycle 0 is never
+//!   tabled; a static one tables the relation pruned by its cycle-0
+//!   fault set;
 //! * under [`RouteTableMode::Auto`] the table must also fit the
 //!   configured memory budget
 //!   ([`SimConfig::route_table_budget`](crate::SimConfig), default
 //!   [`DEFAULT_ROUTE_TABLE_BUDGET`]); [`RouteTableMode::On`] ignores
 //!   the budget but still refuses unsound tables.
 //!
-//! When no table is built the engine simply calls `algo.route()`
+//! When no table is made the engine simply calls `algo.route()`
 //! directly; results are bit-identical either way (enforced by unit and
 //! integration tests).
 
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::config::SimConfig;
 use turnroute_core::RoutingAlgorithm;
-use turnroute_fault::FaultedRelation;
+use turnroute_fault::{FaultSchedule, FaultedRelation};
 use turnroute_topology::{DirSet, Direction, NodeId, Topology};
 
-/// Whether the engine precomputes a [`RouteTable`].
+/// Whether the engine routes through a [`RouteTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouteTableMode {
-    /// Build a table when it is sound and fits the memory budget — the
+    /// Use a table when it is sound and fits the memory budget — the
     /// default.
     #[default]
     Auto,
-    /// Build a table whenever it is sound, ignoring the budget.
+    /// Use a table whenever it is sound, ignoring the budget.
     On,
-    /// Never build a table; always call the algorithm directly.
+    /// Never use a table; always call the algorithm directly.
     Off,
 }
 
@@ -70,9 +86,9 @@ pub const DEFAULT_ROUTE_TABLE_BUDGET: usize = 64 << 20;
 /// Directions an entry byte can hold: 4 dimensions × 2 signs.
 const MAX_TABLE_DIRS: usize = 8;
 
-/// A dense `(node, dst, arrived) -> DirSet` lookup table for one
-/// `(topology, algorithm)` pair. See the [module docs](self) for the
-/// layout and build policy.
+/// A dense `(node, dst, arrived) -> DirSet` memo of one routing
+/// relation on one topology. See the [module docs](self) for the
+/// layout, the fill rule and the policy.
 ///
 /// # Example
 ///
@@ -88,16 +104,21 @@ const MAX_TABLE_DIRS: usize = 8;
 /// let to = mesh.node_at(&[1, 6].into());
 /// assert_eq!(table.lookup(from, to, None), wf.route(&mesh, from, to, None));
 /// ```
-pub struct RouteTable {
-    /// `DirSet::bits()` truncated to a byte, `(node * N + dst) * S +
-    /// slot` indexed.
-    entries: Vec<u8>,
+pub struct RouteTable<'a> {
+    topo: &'a dyn Topology,
+    algo: &'a dyn RoutingAlgorithm,
+    /// `algo` pruned by a static fault plan's cycle-0 fault set: the
+    /// relation the table memoises when present.
+    pruned: Option<FaultedRelation<'a>>,
+    /// `!DirSet::bits()` truncated to a byte (0 = not computed yet),
+    /// `(node * N + dst) * S + slot` indexed.
+    entries: Box<[AtomicU8]>,
     num_nodes: usize,
     /// Arrival slots per (node, dst) pair: `2 * num_dims + 1`.
     slots: usize,
 }
 
-impl RouteTable {
+impl<'a> RouteTable<'a> {
     /// The exact memory the table for `topo` would occupy, in bytes:
     /// `num_nodes² × (2 × num_dims + 1)`.
     pub fn required_bytes(topo: &dyn Topology) -> usize {
@@ -111,110 +132,100 @@ impl RouteTable {
         2 * topo.num_dims() <= MAX_TABLE_DIRS && algo.is_tabulable()
     }
 
-    /// Builds the table, or `None` if the pair is unsound for tabling
-    /// (see [`RouteTable::supports`]). Applies no memory cap; use
-    /// [`RouteTable::for_config`] for the policy-driven entry point.
-    pub fn build(topo: &dyn Topology, algo: &dyn RoutingAlgorithm) -> Option<RouteTable> {
+    /// An empty memo of `algo` on `topo`, or `None` if the pair is
+    /// unsound for tabling (see [`RouteTable::supports`]). Applies no
+    /// memory cap and no fault plan; use [`RouteTable::for_config`] for
+    /// the policy-driven entry point.
+    pub fn build(topo: &'a dyn Topology, algo: &'a dyn RoutingAlgorithm) -> Option<Self> {
+        RouteTable::memo(topo, algo, None)
+    }
+
+    fn memo(
+        topo: &'a dyn Topology,
+        algo: &'a dyn RoutingAlgorithm,
+        pruned: Option<FaultedRelation<'a>>,
+    ) -> Option<Self> {
         if !RouteTable::supports(topo, algo) {
             return None;
         }
-        let n = topo.num_nodes();
-        let slots = 2 * topo.num_dims() + 1;
-
-        // A routing relation only promises answers on states it can
-        // itself produce (some panic outside them — e.g. the torus
-        // algorithms once their wraparound credit is spent). So walk
-        // the relation per destination from every source instead of
-        // querying every physically possible arrival; unreachable
-        // `(node, arrived)` slots keep the empty set, and the engine
-        // never reads them because packets only occupy relation-made
-        // states.
-        let mut entries = vec![0u8; n * n * slots];
-        let mut visited = vec![false; n * slots];
-        let mut stack: Vec<(NodeId, Option<Direction>)> = Vec::new();
-        for dst in topo.nodes() {
-            visited.iter_mut().for_each(|v| *v = false);
-            stack.extend(topo.nodes().filter(|&s| s != dst).map(|s| (s, None)));
-            while let Some((node, arrived)) = stack.pop() {
-                let slot = arrived.map_or(0, |d| 1 + d.index());
-                if std::mem::replace(&mut visited[node.index() * slots + slot], true) {
-                    continue;
-                }
-                let dirs = algo.route(topo, node, dst, arrived);
-                entries[(node.index() * n + dst.index()) * slots + slot] = pack(dirs);
-                for dir in dirs {
-                    match topo.neighbor(node, dir) {
-                        Some(next) if next != dst => stack.push((next, Some(dir))),
-                        _ => {}
-                    }
-                }
-            }
-        }
+        let entries = (0..RouteTable::required_bytes(topo))
+            .map(|_| AtomicU8::new(0))
+            .collect();
         Some(RouteTable {
+            topo,
+            algo,
+            pruned,
             entries,
-            num_nodes: n,
-            slots,
+            num_nodes: topo.num_nodes(),
+            slots: 2 * topo.num_dims() + 1,
         })
     }
 
-    /// Builds the table `config` asks for — the engine's entry point.
-    /// Returns `None` (direct `route()` calls) under
-    /// [`RouteTableMode::Off`], for unsound pairs, and under
-    /// [`RouteTableMode::Auto`] when [`RouteTable::required_bytes`]
-    /// exceeds the configured budget.
+    /// The table `config` asks for — the engine's entry point. Returns
+    /// `None` (direct `route()` calls) under [`RouteTableMode::Off`],
+    /// for unsound pairs, for a fault plan that schedules events after
+    /// cycle 0, and under [`RouteTableMode::Auto`] when
+    /// [`RouteTable::required_bytes`] exceeds the configured budget.
+    /// Under a static fault plan the table memoises the relation pruned
+    /// by the plan's cycle-0 fault set, since a table of the healthy
+    /// relation would happily route into a dead link.
     pub fn for_config(
-        topo: &dyn Topology,
-        algo: &dyn RoutingAlgorithm,
+        topo: &'a dyn Topology,
+        algo: &'a dyn RoutingAlgorithm,
         config: &SimConfig,
-    ) -> Option<Arc<RouteTable>> {
+    ) -> Option<Arc<Self>> {
         let over_budget = RouteTable::required_bytes(topo) > config.route_table_budget;
         match config.route_table {
-            RouteTableMode::Off => None,
-            RouteTableMode::Auto if over_budget => None,
-            RouteTableMode::Auto | RouteTableMode::On => {
-                RouteTable::build(topo, algo).map(Arc::new)
-            }
+            RouteTableMode::Off => return None,
+            RouteTableMode::Auto if over_budget => return None,
+            RouteTableMode::Auto | RouteTableMode::On => {}
         }
+        let pruned = match config.faults.as_deref() {
+            None => None,
+            Some(schedule) if schedule.is_static() => {
+                Some(FaultedRelation::from_schedule(algo, topo, schedule))
+            }
+            Some(_) => return None,
+        };
+        RouteTable::memo(topo, algo, pruned).map(Arc::new)
     }
 
-    /// [`RouteTable::for_config`], but honest about fault plans: a
-    /// table built from the healthy relation would happily route into a
-    /// dead link, so with an active
-    /// [`FaultSchedule`](turnroute_fault::FaultSchedule) the table must be
-    /// built against the *pruned* relation — possible only when the
-    /// fault set never changes
-    /// ([`is_static`](turnroute_fault::FaultSchedule::is_static)). For
-    /// a dynamic plan no table is built; the second element then names
-    /// the reason (surfaced by the CLI), mirroring the Auto-budget
-    /// fallback.
+    /// [`RouteTable::for_config`] plus the reason a table was refused
+    /// because the fault plan schedules events after cycle 0 (surfaced
+    /// by the CLI), mirroring the Auto-budget fallback.
     pub fn for_config_with_faults(
+        topo: &'a dyn Topology,
+        algo: &'a dyn RoutingAlgorithm,
+        config: &SimConfig,
+    ) -> (Option<Arc<Self>>, Option<&'static str>) {
+        let dynamic = config.faults.as_deref().is_some_and(|s| !s.is_static());
+        let reason = (dynamic && config.route_table != RouteTableMode::Off)
+            .then_some("fault plan schedules events after cycle 0; route table disabled");
+        (RouteTable::for_config(topo, algo, config), reason)
+    }
+
+    /// `true` if this table memoises `algo` on `topo` under `faults`:
+    /// the same topology and algorithm objects, and the pruned relation
+    /// exactly when `faults` is a static plan, with its cycle-0 set.
+    pub(crate) fn serves(
+        &self,
         topo: &dyn Topology,
         algo: &dyn RoutingAlgorithm,
-        config: &SimConfig,
-    ) -> (Option<Arc<RouteTable>>, Option<&'static str>) {
-        let Some(schedule) = config.faults.as_deref() else {
-            return (RouteTable::for_config(topo, algo, config), None);
-        };
-        if !schedule.is_static() {
-            let reason = (config.route_table != RouteTableMode::Off)
-                .then_some("fault plan schedules events after cycle 0; route table disabled");
-            return (None, reason);
-        }
-        let over_budget = RouteTable::required_bytes(topo) > config.route_table_budget;
-        let table = match config.route_table {
-            RouteTableMode::Off => None,
-            RouteTableMode::Auto if over_budget => None,
-            RouteTableMode::Auto | RouteTableMode::On => {
-                let pruned = FaultedRelation::from_schedule(algo, topo, schedule);
-                RouteTable::build(topo, &pruned).map(Arc::new)
+        faults: Option<&FaultSchedule>,
+    ) -> bool {
+        let faults_match = match (faults, &self.pruned) {
+            (None, None) => true,
+            (Some(schedule), Some(pruned)) => {
+                schedule.is_static() && schedule.failed_at_start() == pruned.failed()
             }
+            _ => false,
         };
-        (table, None)
+        std::ptr::addr_eq(self.topo, topo) && std::ptr::addr_eq(self.algo, algo) && faults_match
     }
 
     /// The permitted directions for a header at `node` bound for `dst`
     /// that arrived over `arrived` (`None` at its source) — exactly
-    /// what `algo.route()` returned at build time.
+    /// what the memoised relation's `route()` returns.
     ///
     /// # Panics
     ///
@@ -227,7 +238,25 @@ impl RouteTable {
             Some(dir) => 1 + dir.index(),
         };
         let i = (node.index() * self.num_nodes + dst.index()) * self.slots + slot;
-        DirSet::from_bits(self.entries[i] as u32)
+        match self.entries[i].load(Ordering::Relaxed) {
+            0 => self.fill(i, node, dst, arrived),
+            stored => DirSet::from_bits(u32::from(!stored)),
+        }
+    }
+
+    /// Computes entry `i` = `(node, dst, arrived)`, stores it and
+    /// returns it.
+    #[cold]
+    #[inline(never)]
+    fn fill(&self, i: usize, node: NodeId, dst: NodeId, arrived: Option<Direction>) -> DirSet {
+        let dirs = match &self.pruned {
+            Some(pruned) => pruned.route(self.topo, node, dst, arrived),
+            None => self.algo.route(self.topo, node, dst, arrived),
+        };
+        debug_assert!(dirs.bits() <= u32::from(u8::MAX), "DirSet exceeds one byte");
+        // All eight directions store 0 and so stay "not computed".
+        self.entries[i].store(!(dirs.bits() as u8), Ordering::Relaxed);
+        dirs
     }
 
     /// The table's memory footprint in bytes (== entry count).
@@ -236,30 +265,34 @@ impl RouteTable {
     }
 }
 
-impl std::fmt::Debug for RouteTable {
+impl std::fmt::Debug for RouteTable<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouteTable")
             .field("num_nodes", &self.num_nodes)
             .field("slots", &self.slots)
             .field("size_bytes", &self.entries.len())
+            .field("pruned", &self.pruned.is_some())
             .finish()
     }
-}
-
-fn pack(dirs: DirSet) -> u8 {
-    debug_assert!(dirs.bits() <= u8::MAX as u32, "DirSet exceeds one byte");
-    dirs.bits() as u8
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{Executor, SeriesJob};
+    use crate::patterns::Transpose;
+    use crate::Simulation;
+    use std::collections::HashMap;
+    use std::sync::Mutex;
     use turnroute_core::{DimensionOrder, NegativeFirst, NegativeFirstTorus, PCube, WestFirst};
     use turnroute_topology::{Hypercube, Mesh, Torus};
 
-    /// Checks every relation-reachable `(node, dst, arrived)` state
-    /// agrees with the live relation, via an independent traversal.
-    fn assert_table_matches(topo: &dyn Topology, algo: &dyn RoutingAlgorithm) {
+    /// The reference traversal: walks the relation per destination from
+    /// every source, checks every reachable `(node, dst, arrived)` state
+    /// against the live relation — on the first lookup, which fills the
+    /// entry, and on the second, which reads it back — and returns how
+    /// many states it reached.
+    fn assert_table_matches(topo: &dyn Topology, algo: &dyn RoutingAlgorithm) -> usize {
         let table = RouteTable::build(topo, algo).expect("pair must be tabulable");
         let mut states = 0usize;
         for dst in topo.nodes() {
@@ -276,12 +309,14 @@ mod tests {
                 }
                 states += 1;
                 let dirs = algo.route(topo, node, dst, arrived);
-                assert_eq!(
-                    table.lookup(node, dst, arrived),
-                    dirs,
-                    "{} {node:?}->{dst:?} arrived {arrived:?}",
-                    algo.name()
-                );
+                for _ in 0..2 {
+                    assert_eq!(
+                        table.lookup(node, dst, arrived),
+                        dirs,
+                        "{} {node:?}->{dst:?} arrived {arrived:?}",
+                        algo.name()
+                    );
+                }
                 for dir in dirs {
                     match topo.neighbor(node, dir) {
                         Some(next) if next != dst => stack.push((next, Some(dir))),
@@ -292,6 +327,7 @@ mod tests {
         }
         // Sanity: at minimum every at-source state was visited.
         assert!(states >= topo.num_nodes() * (topo.num_nodes() - 1));
+        states
     }
 
     #[test]
@@ -382,8 +418,8 @@ mod tests {
 
     #[test]
     fn memory_formula_is_exact() {
-        let mesh = Mesh::new_2d(16, 16);
-        let table = RouteTable::build(&mesh, &WestFirst::minimal()).unwrap();
+        let (mesh, wf) = (Mesh::new_2d(16, 16), WestFirst::minimal());
+        let table = RouteTable::build(&mesh, &wf).unwrap();
         assert_eq!(RouteTable::required_bytes(&mesh), 256 * 256 * 5);
         assert_eq!(table.size_bytes(), RouteTable::required_bytes(&mesh));
     }
@@ -450,10 +486,153 @@ mod tests {
 
     #[test]
     fn debug_is_a_summary_not_a_dump() {
-        let mesh = Mesh::new_2d(4, 4);
-        let table = RouteTable::build(&mesh, &DimensionOrder::new()).unwrap();
+        let (mesh, xy) = (Mesh::new_2d(4, 4), DimensionOrder::new());
+        let table = RouteTable::build(&mesh, &xy).unwrap();
         let text = format!("{table:?}");
         assert!(text.contains("size_bytes"), "{text}");
         assert!(text.len() < 200, "{text}");
+    }
+
+    /// A `(node, dst, arrived)` routing state.
+    type State = (NodeId, NodeId, Option<Direction>);
+
+    /// Routes like `inner` and counts the `route()` calls per state.
+    struct Counting<'a> {
+        inner: &'a dyn RoutingAlgorithm,
+        calls: Mutex<HashMap<State, u32>>,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(inner: &'a dyn RoutingAlgorithm) -> Self {
+            Counting {
+                inner,
+                calls: Mutex::default(),
+            }
+        }
+
+        /// `(distinct states computed, most calls for one state)`.
+        fn tally(&self) -> (usize, u32) {
+            let calls = self.calls.lock().expect("counter poisoned");
+            (calls.len(), calls.values().copied().max().unwrap_or(0))
+        }
+    }
+
+    impl RoutingAlgorithm for Counting<'_> {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn route(
+            &self,
+            topo: &dyn Topology,
+            current: NodeId,
+            dest: NodeId,
+            arrived: Option<Direction>,
+        ) -> DirSet {
+            *self
+                .calls
+                .lock()
+                .expect("counter poisoned")
+                .entry((current, dest, arrived))
+                .or_default() += 1;
+            self.inner.route(topo, current, dest, arrived)
+        }
+        fn is_adaptive(&self) -> bool {
+            self.inner.is_adaptive()
+        }
+        fn is_minimal(&self) -> bool {
+            self.inner.is_minimal()
+        }
+    }
+
+    fn series_config(mode: RouteTableMode) -> SimConfig {
+        SimConfig::paper()
+            .warmup_cycles(200)
+            .measure_cycles(1_000)
+            .seed(5)
+            .route_table(mode)
+    }
+
+    #[test]
+    fn a_series_computes_each_state_once_per_worker() {
+        let mesh = Mesh::new_2d(6, 6);
+        let wf = WestFirst::minimal();
+        let loads = [0.02, 0.05, 0.10, 0.20, 0.30, 0.40];
+        let run = |algo: &dyn RoutingAlgorithm, mode: RouteTableMode, threads: usize| {
+            let config = series_config(mode);
+            let job = SeriesJob::simulation(&mesh, algo, &Transpose, &config, &loads);
+            format!("{:?}", Executor::new(threads).run(vec![job]))
+        };
+        let off = run(&wf, RouteTableMode::Off, 1);
+        for threads in [1, 2] {
+            let counting = Counting::new(&wf);
+            assert_eq!(run(&counting, RouteTableMode::On, threads), off);
+            let (states, most) = counting.tally();
+            assert!(states > 0);
+            // Every cell of the series shares one memo. Workers running
+            // two cells may race to fill the same entry, each computing
+            // it once; one worker never computes a state twice.
+            assert!(most as usize <= threads, "{threads} threads: {most} calls");
+        }
+    }
+
+    #[test]
+    fn a_transpose_cell_fills_a_fraction_of_the_reachable_states() {
+        let mesh = Mesh::new_2d(16, 16);
+        let nf = NegativeFirst::minimal();
+        let reachable = assert_table_matches(&mesh, &nf);
+        let counting = Counting::new(&nf);
+        let config = series_config(RouteTableMode::On).injection_rate(0.1);
+        let report = Simulation::new(&mesh, &counting, &Transpose, config.clone()).run();
+        let off = config.route_table(RouteTableMode::Off);
+        let direct = Simulation::new(&mesh, &nf, &Transpose, off).run();
+        assert_eq!(format!("{report:?}"), format!("{direct:?}"));
+        let (filled, most) = counting.tally();
+        assert_eq!(most, 1);
+        assert!(
+            filled * 4 <= reachable,
+            "filled {filled} of {reachable} reachable states"
+        );
+    }
+
+    #[test]
+    fn all_eight_directions_are_recomputed_not_remembered() {
+        /// Offers every direction of a 4-D topology away from the
+        /// destination: the one set whose encoding is 0.
+        struct Anywhere;
+        impl RoutingAlgorithm for Anywhere {
+            fn name(&self) -> String {
+                "anywhere".into()
+            }
+            fn route(
+                &self,
+                topo: &dyn Topology,
+                current: NodeId,
+                dest: NodeId,
+                _arrived: Option<Direction>,
+            ) -> DirSet {
+                if current == dest {
+                    DirSet::new()
+                } else {
+                    DirSet::all(topo.num_dims())
+                }
+            }
+            fn is_adaptive(&self) -> bool {
+                true
+            }
+            fn is_minimal(&self) -> bool {
+                false
+            }
+        }
+        let mesh = Mesh::new(vec![3, 3, 3, 3]);
+        let counting = Counting::new(&Anywhere);
+        let table = RouteTable::build(&mesh, &counting).expect("4 dimensions fit a byte");
+        let (src, dst) = (NodeId::new(0), NodeId::new(mesh.num_nodes() - 1));
+        for _ in 0..3 {
+            assert_eq!(table.lookup(src, dst, None), DirSet::all(4));
+            assert_eq!(table.lookup(dst, dst, None), DirSet::new());
+        }
+        // The full set was asked for three times and computed three
+        // times; the empty set at the destination only once.
+        assert_eq!(counting.tally(), (2, 3));
     }
 }

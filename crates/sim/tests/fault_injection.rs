@@ -7,8 +7,8 @@ use turnroute_fault::FaultPlan;
 use turnroute_sim::obs::SimObserver;
 use turnroute_sim::patterns::{TrafficPattern, Uniform};
 use turnroute_sim::{
-    DeliveryLog, FaultObserver, InputSelection, OutputSelection, RouteTableMode, RunOutcome,
-    SimConfig, Simulation,
+    DeliveryLog, FaultObserver, InputSelection, NoopObserver, OutputSelection, RouteTable,
+    RouteTableMode, RunOutcome, SimConfig, Simulation,
 };
 use turnroute_topology::{Direction, Mesh, NodeId, Topology};
 
@@ -211,6 +211,43 @@ fn static_plan_reports_match_with_and_without_route_table() {
     assert_eq!(on_reason, None);
     assert_eq!(off_reason, None);
     assert_eq!(on, off, "route table changed a faulted run's report");
+}
+
+#[test]
+fn a_caller_owned_table_strands_on_a_link_dead_at_cycle_zero() {
+    // West-first must leave (2, 1) westward to reach (0, 1), and that
+    // link fails at cycle 0. The header arrives from (3, 1), finds its
+    // only permitted channel dead and is stranded — also when the table
+    // comes from `RouteTable::for_config`, which must prune the plan.
+    let mesh = Mesh::new_2d(4, 4);
+    let algo = WestFirst::minimal();
+    let at = |x: u16| mesh.node_at(&[x, 1].into());
+    let west = mesh.channel_from(at(2), Direction::WEST).unwrap();
+    let cfg = config()
+        .injection_rate(0.0)
+        .faults(FaultPlan::new().channel(west, 0).compile(&mesh).unwrap());
+    let run = |mut sim: Simulation<'_>| {
+        sim.inject_message(at(3), at(0), 4);
+        format!("{:?}", sim.run())
+    };
+    let table = RouteTable::for_config(&mesh, &algo, &cfg);
+    assert!(table.is_some());
+    let on = run(Simulation::with_observer_and_table(
+        &mesh,
+        &algo,
+        &Uniform,
+        cfg.clone(),
+        NoopObserver,
+        table,
+    ));
+    let off = run(Simulation::new(
+        &mesh,
+        &algo,
+        &Uniform,
+        cfg.route_table(RouteTableMode::Off),
+    ));
+    assert!(off.contains("stranded_packets: 1"), "{off}");
+    assert_eq!(on, off, "a for_config table changed a faulted run");
 }
 
 #[test]

@@ -6,7 +6,8 @@
 
 use turnroute::experiment::ExperimentSpec;
 use turnroute::sim::report::write_csv;
-use turnroute::sim::{RouteTableMode, SimConfig};
+use turnroute::sim::RouteTableMode::{Off, On};
+use turnroute::sim::SimConfig;
 
 fn quick() -> SimConfig {
     SimConfig::paper()
@@ -15,17 +16,17 @@ fn quick() -> SimConfig {
         .seed(42)
 }
 
-/// CSV bytes of the spec swept with the given route-table mode.
+/// CSV bytes of the spec swept under `config`.
 fn csv(
     topology: &str,
     pattern: &str,
     algos: &[&str],
-    mode: RouteTableMode,
+    config: SimConfig,
     threads: usize,
 ) -> Vec<u8> {
     let mut builder = ExperimentSpec::builder(topology, pattern)
         .loads(&[0.02, 0.05])
-        .config(quick().route_table(mode));
+        .config(config);
     for a in algos {
         builder = builder.algorithm(*a);
     }
@@ -38,9 +39,9 @@ fn csv(
 /// Every CLI-registered algorithm that runs on the topology, swept with
 /// tables on and off, 1 and 8 threads: all four byte streams equal.
 fn assert_mode_invisible(topology: &str, pattern: &str, algos: &[&str]) {
-    let off = csv(topology, pattern, algos, RouteTableMode::Off, 1);
+    let off = csv(topology, pattern, algos, quick().route_table(Off), 1);
     for threads in [1, 8] {
-        let on = csv(topology, pattern, algos, RouteTableMode::On, threads);
+        let on = csv(topology, pattern, algos, quick().route_table(On), threads);
         assert_eq!(
             off, on,
             "{topology}: route table changed sweep bytes ({threads} threads)"
@@ -48,7 +49,7 @@ fn assert_mode_invisible(topology: &str, pattern: &str, algos: &[&str]) {
     }
     assert_eq!(
         off,
-        csv(topology, pattern, algos, RouteTableMode::Off, 8),
+        csv(topology, pattern, algos, quick().route_table(Off), 8),
         "{topology}: thread count changed direct-routed bytes"
     );
 }
@@ -92,15 +93,27 @@ fn budget_fallback_is_equally_invisible() {
     // A 1-byte budget forces Auto onto the direct path; the bytes must
     // not notice.
     let algos = ["west-first", "xy"];
-    let base = csv("mesh:6x6", "transpose", &algos, RouteTableMode::On, 1);
-    let mut builder = ExperimentSpec::builder("mesh:6x6", "transpose")
-        .loads(&[0.02, 0.05])
-        .config(quick().route_table_budget(1));
-    for a in &algos {
-        builder = builder.algorithm(*a);
-    }
-    let spec = builder.build().expect("spec resolves");
-    let mut capped = Vec::new();
-    write_csv(&spec.run(1).expect("spec resolves"), &mut capped).expect("in-memory CSV");
+    let base = csv("mesh:6x6", "transpose", &algos, quick().route_table(On), 1);
+    let capped = csv(
+        "mesh:6x6",
+        "transpose",
+        &algos,
+        quick().route_table_budget(1),
+        1,
+    );
     assert_eq!(base, capped, "budget fallback changed sweep bytes");
+}
+
+#[test]
+fn sharded_sweeps_are_identical_with_and_without_tables() {
+    // Two arbitration shards per cell, and two cells at a time, fill
+    // each series' table concurrently.
+    let algos = ["west-first", "negative-first"];
+    let off = csv("mesh:6x6", "transpose", &algos, quick().route_table(Off), 1);
+    let sharded = quick().route_table(On).shards(2);
+    assert_eq!(
+        off,
+        csv("mesh:6x6", "transpose", &algos, sharded, 2),
+        "2-shard table-on sweep changed bytes"
+    );
 }
