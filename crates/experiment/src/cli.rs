@@ -390,30 +390,23 @@ pub fn parse_traffic(spec: &str) -> Result<TrafficModel, ParseSpecError> {
     )))
 }
 
-/// Checks that `pattern` fits `topo`: patterns naming explicit nodes
+/// Checks that `pattern` fits `topo` ([`TrafficPattern::fits`]): a
+/// shape pattern needs its shape (transpose a square 2D mesh, the bit
+/// permutations a hypercube), and a pattern naming explicit nodes
 /// (hotspots, trace files) must not reference a node the topology does
 /// not have. Spec layers call this after parsing both, so the mismatch
 /// surfaces as a typed error instead of an engine panic.
 ///
 /// # Errors
 ///
-/// Returns a message naming the out-of-range node and the topology's
-/// node count.
+/// Returns a message naming the pattern, the rule and the topology.
 pub fn check_pattern_fits(
     pattern: &dyn TrafficPattern,
     topo: &dyn Topology,
 ) -> Result<(), ParseSpecError> {
-    let need = pattern.min_nodes();
-    if need > topo.num_nodes() {
-        return Err(err(format!(
-            "pattern '{}' references node {} but {} has only {} nodes",
-            pattern.name(),
-            need - 1,
-            topo.label(),
-            topo.num_nodes()
-        )));
-    }
-    Ok(())
+    pattern
+        .fits(topo)
+        .map_err(|e| err(format!("pattern '{}' {e}", pattern.name())))
 }
 
 /// The fault-plan specification forms the CLI accepts (joined with `+`
@@ -619,10 +612,20 @@ mod tests {
         assert!(parse_pattern("noise").is_err());
     }
 
+    /// The fewest nodes a line must have for `pattern` to fit it.
+    fn min_nodes(pattern: &dyn TrafficPattern) -> usize {
+        (1..)
+            .find(|&n| pattern.fits(&Mesh::new(vec![n])).is_ok())
+            .unwrap()
+    }
+
     #[test]
     fn weighted_hotspots_parse() {
         // Plain form still builds the legacy single-hotspot pattern.
-        assert_eq!(parse_pattern("hotspot:12,10").unwrap().min_nodes(), 13);
+        assert_eq!(
+            min_nodes(parse_pattern("hotspot:12,10").unwrap().as_ref()),
+            13
+        );
         assert_eq!(
             parse_pattern("hotspot:12,10").unwrap().name(),
             "hotspot(10%)"
@@ -630,9 +633,9 @@ mod tests {
         // Weighted / multi-node forms build the generalization.
         let multi = parse_pattern("hotspot:3*2+9,25").unwrap();
         assert_eq!(multi.name(), "hotspot(3*2+9;25%)");
-        assert_eq!(multi.min_nodes(), 10);
+        assert_eq!(min_nodes(multi.as_ref()), 10);
         let weighted_single = parse_pattern("hotspot:7*0.5,50").unwrap();
-        assert_eq!(weighted_single.min_nodes(), 8);
+        assert_eq!(min_nodes(weighted_single.as_ref()), 8);
         for bad in [
             "hotspot:3*0,10",
             "hotspot:3*-1,10",
@@ -653,7 +656,7 @@ mod tests {
         std::fs::write(&file, "# demo\n0 5\n0 9 3\n1 2\n").unwrap();
         let spec = format!("trace:{}", file.display());
         let pattern = parse_pattern(&spec).unwrap();
-        assert_eq!(pattern.min_nodes(), 10);
+        assert_eq!(min_nodes(pattern.as_ref()), 10);
         assert!(pattern.name().starts_with(&format!("{spec}@")));
         // Unreadable and malformed files surface as parse errors.
         assert!(parse_pattern("trace:/no/such/file.trace").is_err());
@@ -708,6 +711,63 @@ mod tests {
         assert!(
             check_pattern_fits(parse_pattern("uniform").unwrap().as_ref(), mesh.as_ref()).is_ok()
         );
+        let oblong = parse_topology("mesh:4x3").unwrap();
+        let transpose = parse_pattern("transpose").unwrap();
+        let e = check_pattern_fits(transpose.as_ref(), oblong.as_ref()).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "pattern 'matrix-transpose' needs a square 2D mesh, but 4x3 mesh is not one"
+        );
+    }
+
+    #[test]
+    fn every_pattern_that_fits_draws_a_destination_from_every_node() {
+        // The fit check is total: whatever it admits, `dest` must serve
+        // without panicking, from every source.
+        let topologies = [
+            "mesh:4x4",
+            "mesh:4x3",
+            "mesh:1x1",
+            "mesh:1x5",
+            "mesh:3x3x3",
+            "torus:4,2",
+            "hypercube:1",
+            "hypercube:3",
+            "hypercube:4",
+            "hex:4x3",
+            "ring:6",
+            "fullmesh:5",
+            "dragonfly:4,4",
+        ];
+        let patterns = [
+            "uniform",
+            "transpose",
+            "diagonal-transpose",
+            "hypercube-transpose",
+            "reverse-flip",
+            "bit-complement",
+            "bit-reversal",
+            "shuffle",
+            "tornado",
+            "neighbor",
+            "hotspot:8,50",
+        ];
+        let mut rng = turnroute_rng::StdRng::seed_from_u64(5);
+        for t in topologies {
+            let topo = parse_topology(t).unwrap();
+            for name in patterns {
+                let pattern = parse_pattern(name).unwrap();
+                if check_pattern_fits(pattern.as_ref(), topo.as_ref()).is_err() {
+                    continue;
+                }
+                for src in 0..topo.num_nodes() {
+                    let src = NodeId::new(src);
+                    if let Some(dst) = pattern.dest(topo.as_ref(), src, &mut rng) {
+                        assert!(dst.index() < topo.num_nodes(), "{name} on {t}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

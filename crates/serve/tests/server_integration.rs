@@ -229,12 +229,13 @@ fn the_job_table_keeps_only_the_most_recent_finished_jobs() {
 #[test]
 fn a_job_that_panics_the_engine_fails_alone_and_the_runner_lives_on() {
     let (handle, addr, _store) = start("panic");
-    // A spec the boundary accepts and the engine asserts on: transpose
-    // needs a square mesh, and only `patterns::Transpose::dest` checks.
-    // (If admission control ever rejects it with a 4xx, find this test
-    // another way into an engine `assert!`.)
-    let poison = r#"{"spec_version":1,"topology":"mesh:4x3","pattern":"transpose",
-        "algorithms":["xy"],"loads":[0.05],
+    // A spec the boundary accepts and the engine asserts on: p-cube
+    // routing needs a hypercube, and only `PCube::route` checks. (If
+    // admission control ever rejects it with a 4xx, as it now does a
+    // pattern that does not fit its topology, find this test another
+    // way into an engine `assert!`.)
+    let poison = r#"{"spec_version":1,"topology":"mesh:4x4","pattern":"uniform",
+        "algorithms":["p-cube"],"loads":[0.05],
         "config":{"seed":1,"warmup_cycles":100,"measure_cycles":400}}"#;
     let (status, doc) = submit_ok(&addr, poison);
     assert_eq!(status, 202, "{doc:?}");
@@ -243,7 +244,10 @@ fn a_job_that_panics_the_engine_fails_alone_and_the_runner_lives_on() {
     assert_eq!(str_field(&doc, "status"), "failed");
     let error = str_field(&doc, "error");
     assert!(error.starts_with("job panicked: "), "{error}");
-    assert!(error.contains("transpose needs a square mesh"), "{error}");
+    assert!(
+        error.contains("p-cube routing requires a hypercube"),
+        "{error}"
+    );
     assert_eq!(client::fetch(&addr, &poisoned_id).unwrap().0, 409);
 
     // The one runner thread survived, and so did the state lock: a
@@ -400,6 +404,13 @@ fn invalid_submissions_get_typed_4xx_errors() {
     let (status, body) = client::submit(&addr, &unsorted).unwrap();
     assert_eq!(status, 400);
     assert_eq!(kind_of(&body), "invalid");
+
+    // A pattern that does not fit the topology: transpose needs a
+    // square mesh.
+    let misfit = small_spec().to_json().replacen("mesh:6x6", "mesh:6x4", 1);
+    let (status, body) = client::submit(&addr, &misfit).unwrap();
+    assert_eq!(status, 400);
+    assert_eq!(kind_of(&body), "parse");
 
     // Unknown job and unknown path.
     let (status, _) = client::status(&addr, "j999").unwrap();

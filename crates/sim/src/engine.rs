@@ -22,6 +22,9 @@ use turnroute_topology::{ChannelId, DirSet, Direction, NodeId, Topology};
 /// arrays.
 const MAX_DIRS: usize = 32;
 
+/// End of a router's wait-list (see [`Simulation::sleepers`]).
+const NO_SLEEPER: u32 = u32::MAX;
+
 /// Per-cycle scratch buffers owned by the simulation so the hot path
 /// never allocates: each is cleared (cheap — `len = 0` or an epoch
 /// bump) and refilled every cycle, keeping its capacity across the
@@ -69,11 +72,11 @@ struct HotLanes {
     head_arrival: Vec<u64>,
     /// Stranded flags (see [`Packet::is_stranded`]).
     stranded: Vec<bool>,
-    /// Blocked stamp: `cycle + 1` of the arbitration that last found
-    /// this header with a non-empty permitted set and no free
-    /// in-service candidate (0 = never). The header is parked while the
-    /// stamp is newer than its router's `released_epoch`.
-    blocked: Vec<u64>,
+    /// Set exactly while the header sleeps on its head router's
+    /// wait-list (see [`Simulation::sleepers`]).
+    asleep: Vec<bool>,
+    /// The next slot on the same wait-list ([`NO_SLEEPER`] ends it).
+    next_sleeper: Vec<u32>,
 }
 
 impl HotLanes {
@@ -87,7 +90,8 @@ impl HotLanes {
             self.arrived.push(None);
             self.head_arrival.push(0);
             self.stranded.push(false);
-            self.blocked.push(0);
+            self.asleep.push(false);
+            self.next_sleeper.push(NO_SLEEPER);
         }
         self.seq[s] = message.seq;
         self.head_node[s] = src;
@@ -95,7 +99,8 @@ impl HotLanes {
         self.arrived[s] = None;
         self.head_arrival[s] = message.created_at;
         self.stranded[s] = false;
-        self.blocked[s] = 0;
+        self.asleep[s] = false;
+        self.next_sleeper[s] = NO_SLEEPER;
     }
 }
 
@@ -202,12 +207,13 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     /// node's source queue is non-empty: requester collection walks the
     /// set bits instead of probing every queue.
     queue_nonempty: Vec<u64>,
-    /// Blocked stamp of each node's queue head (see
-    /// [`HotLanes::blocked`]; a waiting message has no slot to keep it
-    /// in). Zeroed when the head leaves, so its successor starts fresh.
-    head_blocked: Vec<u64>,
-    /// Per-node slot currently streaming flits from the source.
-    injecting: Vec<Option<u32>>,
+    /// One bit per node, set while the node's queue head sleeps (it
+    /// has no slot to put on a wait-list): only while the queue is
+    /// non-empty and the injection channel idle.
+    head_asleep: Vec<u64>,
+    /// One bit per node, set while a worm streams flits out of the
+    /// node's source over its injection channel.
+    injecting: Vec<u64>,
     /// Per-node slot currently streaming flits into the local
     /// processor (the single ejection channel of the paper's router).
     ejecting: Vec<Option<u32>>,
@@ -240,12 +246,17 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     /// Flits routed over each channel during the measurement window
     /// (credited when a header acquires the channel).
     channel_flits: Vec<u64>,
-    /// Release stamp per router: `cycle + 1` of the last cycle that
-    /// released a channel leaving it or changed any service bit (fault
-    /// events stamp every router). A header's candidates all exit its
-    /// head node, so nothing a parked header waits on changes without
-    /// this stamp catching up with its blocked stamp.
-    released_epoch: Vec<u64>,
+    /// Head of each router's wait-list, threaded through
+    /// [`HotLanes::next_sleeper`]: the headers arbitration found there
+    /// with a non-empty permitted set and no free in-service candidate.
+    /// A header's candidates all exit its head router, so only a
+    /// release of a channel leaving that router or a service-bit change
+    /// can help it; those wake the list (see [`Simulation::wake`]).
+    sleepers: Vec<u32>,
+    /// Set by [`Simulation::unpark_all`] and cleared once that cycle's
+    /// arbitration is over: a header found blocked in the cycle of a
+    /// service-bit change stays awake for one more arbitration.
+    woke_all: bool,
     /// Requesters arbitration evaluated, summed over all cycles.
     requesters_evaluated: u64,
     /// Nodes handed to the traffic source's per-node `poll`, summed
@@ -253,6 +264,12 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     sources_polled: u64,
     /// Live slots, in injection order.
     in_flight: Vec<u32>,
+    /// The awake headers: live slots that are neither asleep, stranded
+    /// nor at their destination, plus those that reached it in the
+    /// last cycle's grants. Pushed at injection and by wakes, compacted
+    /// once a cycle (see [`Simulation::compact_ready`]). Runs that
+    /// never park keep it in injection order.
+    ready: Vec<u32>,
     /// Live slots whose header sits at its destination: pushed by the
     /// hop that lands there, removed on delivery.
     at_dest: Vec<u32>,
@@ -357,8 +374,8 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             queues: vec![VecDeque::new(); topo.num_nodes()],
             queued_total: 0,
             queue_nonempty: vec![0; topo.num_nodes().div_ceil(64)],
-            head_blocked: vec![0; topo.num_nodes()],
-            injecting: vec![None; topo.num_nodes()],
+            head_asleep: vec![0; topo.num_nodes().div_ceil(64)],
+            injecting: vec![0; topo.num_nodes().div_ceil(64)],
             ejecting: vec![None; topo.num_nodes()],
             channel_owner: vec![None; topo.num_channels()],
             channel_busy: vec![0; topo.num_channels().div_ceil(64)],
@@ -370,10 +387,12 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             table_fallback: None,
             shard_fallback: None,
             channel_flits: vec![0; topo.num_channels()],
-            released_epoch: vec![0; topo.num_nodes()],
+            sleepers: vec![NO_SLEEPER; topo.num_nodes()],
+            woke_all: false,
             requesters_evaluated: 0,
             sources_polled: 0,
             in_flight: Vec::new(),
+            ready: Vec::new(),
             at_dest: Vec::new(),
             stranded_count: 0,
             table,
@@ -546,10 +565,28 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         self.unpark_all();
     }
 
-    /// Wakes every parked header for the next arbitration: a service-bit
-    /// change can alter any header's pruned permitted set or candidates.
+    /// Wakes every sleeping header for the next arbitration, and keeps
+    /// this cycle's arbitration from putting any to sleep: a
+    /// service-bit change can alter any header's pruned permitted set
+    /// or candidates.
     fn unpark_all(&mut self) {
-        self.released_epoch.fill(self.cycle + 1);
+        for router in 0..self.sleepers.len() {
+            self.wake(router);
+        }
+        self.woke_all = true;
+    }
+
+    /// Moves `router`'s wait-list and its queue head back among the
+    /// awake requesters: something they may be waiting on changed.
+    #[inline]
+    fn wake(&mut self, router: usize) {
+        let mut s = std::mem::replace(&mut self.sleepers[router], NO_SLEEPER);
+        while s != NO_SLEEPER {
+            self.lanes.asleep[s as usize] = false;
+            self.ready.push(s);
+            s = self.lanes.next_sleeper[s as usize];
+        }
+        self.head_asleep[router >> 6] &= !(1u64 << (router & 63));
     }
 
     /// Requesters arbitration has routed, sorted and tested so far — a
@@ -653,9 +690,14 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     }
 
     /// The serial tail of a cycle, after arbitration filled
-    /// `scratch.grants`: apply grants, sample queues, run the stall
-    /// rule, advance the clock, fire the watchdog.
+    /// `scratch.grants`: drop who left the awake list, apply grants,
+    /// sample queues, run the stall rule, advance the clock, fire the
+    /// watchdog.
     fn finish_cycle(&mut self) -> Option<DeadlockReport> {
+        // Before `advance`: its releases wake headers that went to
+        // sleep this cycle, and they must come back exactly once.
+        self.compact_ready();
+        self.woke_all = false;
         let progressed = self.advance();
         if self.in_window() && self.cycle.is_multiple_of(256) {
             let queued = self.queued_messages();
@@ -929,36 +971,23 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         }
     }
 
-    /// `true` if a header carrying blocked stamp `stamp` was found
-    /// blocked after the last release at `router`, where it sits:
-    /// re-evaluating it would find the same permitted set and busy
-    /// channels. Never true in runs that stamp nothing (stamps stay 0).
-    #[inline]
-    fn is_parked(&self, stamp: u64, router: usize) -> bool {
-        stamp > self.released_epoch[router]
-    }
-
     /// Appends the cycle's requesters whose head node index lies in
-    /// `[lo, hi)`: in-flight headers not yet at their destination, not
-    /// stranded and not parked, plus each node's unparked queue head if
-    /// the injection channel is free. The serial path passes the full
-    /// node range; shards pass their partition (a boundary may split a
-    /// 64-node word of `queue_nonempty`; the masks below keep each
-    /// shard to its own bits). Order within `out` is in-flight order
-    /// then node order — the caller sorts (or shuffles) before
-    /// granting.
+    /// `[lo, hi)`: the awake headers not yet at their destination, plus
+    /// each node's awake queue head if the injection channel is free.
+    /// The serial path passes the full node range; shards pass their
+    /// partition (a boundary may split a 64-node word of the node
+    /// bitsets; the masks below keep each shard to its own bits). Order
+    /// within `out` is awake-list order then node order — the caller
+    /// sorts (or shuffles) before granting.
     fn collect_requesters(&self, lo: usize, hi: usize, out: &mut Vec<Who>) {
-        out.extend(self.in_flight.iter().filter_map(|&s| {
+        out.extend(self.ready.iter().filter_map(|&s| {
             let i = s as usize;
             let head = self.lanes.head_node[i];
-            ((lo..hi).contains(&head.index())
-                && head != self.lanes.dst[i]
-                && !self.lanes.stranded[i]
-                && !self.is_parked(self.lanes.blocked[i], head.index()))
-            .then_some(Who::Slot(s))
+            ((lo..hi).contains(&head.index()) && head != self.lanes.dst[i]).then_some(Who::Slot(s))
         }));
         for word in (lo >> 6)..hi.div_ceil(64) {
-            let mut bits = self.queue_nonempty[word];
+            let mut bits =
+                self.queue_nonempty[word] & !self.injecting[word] & !self.head_asleep[word];
             if word == lo >> 6 {
                 bits &= !0u64 << (lo & 63);
             }
@@ -968,12 +997,21 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             while bits != 0 {
                 let node = (word << 6) + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let parked = self.is_parked(self.head_blocked[node], node);
-                if self.injecting[node].is_none() && !parked {
-                    out.push(Who::Source(node as u32));
-                }
+                out.push(Who::Source(node as u32));
             }
         }
+    }
+
+    /// Drops from the awake list the headers that went to sleep or were
+    /// stranded in this cycle's arbitration, and those that reached
+    /// their destination in the last cycle's grants. Order-preserving,
+    /// so a run that never parks keeps injection order.
+    fn compact_ready(&mut self) {
+        let lanes = &self.lanes;
+        self.ready.retain(|&s| {
+            let i = s as usize;
+            !lanes.asleep[i] && !lanes.stranded[i] && lanes.head_node[i] != lanes.dst[i]
+        });
     }
 
     /// Sorts requesters into the global priority order that implements
@@ -1041,12 +1079,26 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         }
     }
 
-    /// Stamps `who` blocked as of this cycle's arbitration (see
-    /// [`HotLanes::blocked`]).
+    /// Puts `who`, found blocked by this cycle's arbitration, to sleep
+    /// at its head router until [`Simulation::wake`] (a no-op in the
+    /// cycle of a service-bit change, see `woke_all`). A slot leaves
+    /// the awake list at the next [`Simulation::compact_ready`].
     fn park(&mut self, who: Who) {
+        if self.woke_all {
+            return;
+        }
         match who {
-            Who::Slot(s) => self.lanes.blocked[s as usize] = self.cycle + 1,
-            Who::Source(node) => self.head_blocked[node as usize] = self.cycle + 1,
+            Who::Slot(s) => {
+                let i = s as usize;
+                let router = self.lanes.head_node[i].index();
+                self.lanes.next_sleeper[i] = self.sleepers[router];
+                self.sleepers[router] = s;
+                self.lanes.asleep[i] = true;
+            }
+            Who::Source(node) => {
+                let node = node as usize;
+                self.head_asleep[node >> 6] |= 1u64 << (node & 63);
+            }
         }
     }
 
@@ -1054,8 +1106,8 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     /// the input-selection winner. Fills `scratch.grants` with
     /// `(header, channel)` grants for [`Simulation::advance`].
     fn arbitrate(&mut self) {
-        // Requesters: in-flight headers not yet at their destination,
-        // plus each node's queue head if the injection channel is free.
+        // Requesters: awake headers not yet at their destination, plus
+        // each node's awake queue head if the injection channel is free.
         let mut requesters = std::mem::take(&mut self.scratch.requesters);
         requesters.clear();
         self.collect_requesters(0, self.topo.num_nodes(), &mut requesters);
@@ -1176,7 +1228,6 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         if self.queues[node].is_empty() {
             self.queue_nonempty[node >> 6] &= !(1u64 << (node & 63));
         }
-        self.head_blocked[node] = 0;
         let src = NodeId::new(node);
         let s = match self.free.pop() {
             Some(s) => {
@@ -1192,8 +1243,9 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             }
         };
         self.lanes.start(s as usize, src, message);
-        self.injecting[node] = Some(s);
+        self.injecting[node >> 6] |= 1u64 << (node & 63);
         self.in_flight.push(s);
+        self.ready.push(s);
         self.obs.packet_injected(
             self.cycle,
             PacketId(message.seq),
@@ -1230,7 +1282,6 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         self.lanes.head_node[idx] = ch.dst;
         self.lanes.arrived[idx] = Some(ch.dir);
         self.lanes.head_arrival[idx] = cycle + 1;
-        self.lanes.blocked[idx] = 0;
         if ch.dst == self.lanes.dst[idx] {
             self.at_dest.push(s);
         }
@@ -1292,9 +1343,9 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             if p.flits_at_source == 0 {
                 // Tail left the source: release the injection channel.
                 let src = p.src.index();
-                if self.injecting[src] == Some(s) {
-                    self.injecting[src] = None;
-                }
+                let bit = 1u64 << (src & 63);
+                debug_assert!(self.injecting[src >> 6] & bit != 0, "not injecting");
+                self.injecting[src >> 6] &= !bit;
             }
         } else if p.worm_head < p.worm.len() {
             let tail = p.worm[p.worm_head];
@@ -1303,7 +1354,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             let t = tail.index();
             self.channel_owner[t] = None;
             self.channel_busy[t >> 6] &= !(1u64 << (t & 63));
-            self.released_epoch[self.topo.channel(tail).src.index()] = self.cycle + 1;
+            self.wake(self.topo.channel(tail).src.index());
             self.obs.channel_released(self.cycle, id, tail);
         }
     }
@@ -1526,51 +1577,153 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flit_conservation_invariant() {
-        let mesh = Mesh::new_2d(4, 4);
-        let algo = WestFirst::minimal();
-        let config = SimConfig::paper()
-            .injection_rate(0.1)
-            .warmup_cycles(0)
-            .measure_cycles(0);
-        let mut sim = Simulation::new(&mesh, &algo, &Uniform, config);
-        for _ in 0..2_000 {
-            sim.step();
-            for p in sim.packets() {
-                let total = p.flits_at_source + p.flits_in_network() + p.flits_consumed;
-                assert_eq!(total, p.length);
-            }
-            // Channel ownership is consistent with worms.
-            let mut owned = 0;
-            for p in sim.packets() {
-                for c in p.worm() {
-                    assert_eq!(sim.channel_owner(*c), Some(p.id));
-                    owned += 1;
-                }
-            }
-            let owners = (0..mesh.num_channels())
-                .filter(|&c| sim.channel_owner(ChannelId::new(c)).is_some())
-                .count();
-            assert_eq!(owned, owners);
-            // The columns mirror the slots, every slot is either in
-            // flight or free, and a free slot holds nothing its next
-            // occupant could inherit.
-            assert_eq!(sim.in_flight.len() + sim.free.len(), sim.slots.len());
-            for (s, p) in sim.slots.iter().enumerate() {
-                assert_eq!(sim.lanes.seq[s], p.id.0);
-                assert_eq!(sim.lanes.head_node[s], p.head_node);
-                assert_eq!(sim.lanes.stranded[s], p.is_stranded);
-                let free = sim.free.contains(&(s as u32));
-                assert_eq!(free, p.state() == PacketState::Delivered);
-                assert_eq!(free, !sim.in_flight.contains(&(s as u32)));
-                if free {
-                    assert!(p.worm.is_empty() && p.worm_head == 0);
-                    assert_eq!(sim.lanes.blocked[s], 0);
-                    assert!(!sim.at_dest.contains(&(s as u32)));
-                }
+    /// Asserts every invariant of the engine state between two steps,
+    /// and returns how many headers (slots and queue heads) sleep.
+    fn assert_consistent(sim: &Simulation<'_>) -> usize {
+        let bit = |words: &[u64], node: usize| words[node >> 6] & (1u64 << (node & 63)) != 0;
+        for p in sim.packets() {
+            let total = p.flits_at_source + p.flits_in_network() + p.flits_consumed;
+            assert_eq!(total, p.length);
+        }
+        // Channel ownership is consistent with worms.
+        let mut owned = 0;
+        for p in sim.packets() {
+            for c in p.worm() {
+                assert_eq!(sim.channel_owner(*c), Some(p.id));
+                owned += 1;
             }
         }
+        let owners = (0..sim.topo.num_channels())
+            .filter(|&c| sim.channel_owner(ChannelId::new(c)).is_some())
+            .count();
+        assert_eq!(owned, owners);
+        // Each slot is on at most one wait-list, its head router's.
+        let mut listed_at = vec![None; sim.slots.len()];
+        for (router, &first) in sim.sleepers.iter().enumerate() {
+            let mut s = first;
+            while s != NO_SLEEPER {
+                let i = s as usize;
+                assert_eq!(listed_at[i], None, "slot {s} listed twice");
+                assert_eq!(sim.lanes.head_node[i].index(), router);
+                listed_at[i] = Some(router);
+                s = sim.lanes.next_sleeper[i];
+            }
+        }
+        // The columns mirror the slots, every slot is either in flight
+        // or free, and a free slot holds nothing its next occupant
+        // could inherit and appears nowhere.
+        assert_eq!(sim.in_flight.len() + sim.free.len(), sim.slots.len());
+        for (s, p) in sim.slots.iter().enumerate() {
+            let slot = s as u32;
+            assert_eq!(sim.lanes.seq[s], p.id.0);
+            assert_eq!(sim.lanes.head_node[s], p.head_node);
+            assert_eq!(sim.lanes.stranded[s], p.is_stranded);
+            assert_eq!(sim.lanes.asleep[s], listed_at[s].is_some());
+            let free = sim.free.contains(&slot);
+            assert_eq!(free, p.state() == PacketState::Delivered);
+            assert_eq!(free, !sim.in_flight.contains(&slot));
+            let ready = sim.ready.iter().filter(|&&r| r == slot).count();
+            let at_dest = sim.at_dest.contains(&slot);
+            assert_eq!(at_dest, !free && p.head_node == p.dst);
+            if free {
+                assert!(p.worm.is_empty() && p.worm_head == 0);
+                assert!(!sim.lanes.asleep[s] && ready == 0);
+            } else if p.is_stranded {
+                assert!(!sim.lanes.asleep[s] && ready == 0 && !at_dest);
+            } else if at_dest {
+                // Listed until the compaction after the cycle it landed.
+                assert!(!sim.lanes.asleep[s]);
+                assert_eq!(ready, usize::from(sim.lanes.head_arrival[s] == sim.cycle));
+            } else {
+                assert_eq!(ready + usize::from(sim.lanes.asleep[s]), 1, "slot {s}");
+            }
+        }
+        // A queue head sleeps only while it exists and could inject; the
+        // injecting bit is set exactly while a worm leaves the source.
+        let mut heads_asleep = 0;
+        for node in 0..sim.topo.num_nodes() {
+            let streaming = sim
+                .in_flight()
+                .any(|p| p.src.index() == node && p.flits_at_source > 0);
+            assert_eq!(bit(&sim.injecting, node), streaming, "node {node}");
+            if bit(&sim.head_asleep, node) {
+                assert!(!sim.queues[node].is_empty() && !streaming, "node {node}");
+                heads_asleep += 1;
+            }
+        }
+        heads_asleep + listed_at.iter().flatten().count()
+    }
+
+    #[test]
+    fn wake_up_and_flit_invariants_hold_every_cycle() {
+        use turnroute_fault::FaultPlan;
+        let mesh = Mesh::new_2d(4, 4);
+        let algo = WestFirst::minimal();
+        let hot = mesh
+            .channel_from(mesh.node_at(&[1, 1].into()), Direction::EAST)
+            .expect("interior");
+        let base = SimConfig::paper()
+            .injection_rate(0.3)
+            .warmup_cycles(0)
+            .measure_cycles(0)
+            .deadlock_threshold(10_000);
+        let faulted = base
+            .clone()
+            .route_table(crate::lut::RouteTableMode::Off)
+            .faults(
+                FaultPlan::new()
+                    .channel_transient(hot, 200, 700)
+                    .channel_transient(hot, 1_100, 1_300)
+                    .compile(&mesh)
+                    .expect("valid plan"),
+            );
+        let runs = [
+            (base.clone(), true),
+            (
+                base.clone()
+                    .input_selection(InputSelection::FixedPriority)
+                    .output_selection(OutputSelection::StraightFirst),
+                true,
+            ),
+            (base.input_selection(InputSelection::Random), false),
+            (faulted, true),
+        ];
+        for (config, parks) in runs {
+            let mut sim = Simulation::new(&mesh, &algo, &Uniform, config.clone());
+            let mut slept = 0;
+            for _ in 0..2_000 {
+                sim.step();
+                slept += assert_consistent(&sim);
+            }
+            assert_eq!(slept > 0, parks, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn hot_lanes_start_rewrites_every_column() {
+        let mut lanes = HotLanes::default();
+        let message = |seq| Queued {
+            seq,
+            dst: NodeId::new(5),
+            length: 4,
+            created_at: 9,
+        };
+        lanes.start(0, NodeId::new(1), message(0));
+        lanes.head_node[0] = NodeId::new(3);
+        lanes.arrived[0] = Some(Direction::EAST);
+        lanes.head_arrival[0] = 77;
+        lanes.stranded[0] = true;
+        lanes.asleep[0] = true;
+        lanes.next_sleeper[0] = 0;
+        lanes.start(0, NodeId::new(2), message(1));
+        assert_eq!(lanes.seq[0], 1);
+        assert_eq!(lanes.head_node[0], NodeId::new(2));
+        assert_eq!(lanes.dst[0], NodeId::new(5));
+        assert_eq!(lanes.arrived[0], None);
+        assert_eq!(lanes.head_arrival[0], 9);
+        assert!(!lanes.stranded[0]);
+        assert!(!lanes.asleep[0]);
+        assert_eq!(lanes.next_sleeper[0], NO_SLEEPER);
     }
 
     #[test]

@@ -37,7 +37,7 @@ struct ShardScratch {
     /// Headers whose pruned direction set came up permanently empty.
     newly_stranded: Vec<Who>,
     /// Headers found with a non-empty permitted set and no free
-    /// in-service candidate: the merge stamps them parked.
+    /// in-service candidate: the merge puts them to sleep.
     newly_blocked: Vec<Who>,
     /// Shard-local epoch-stamped "granted this cycle" marks (see
     /// [`super::Scratch::granted_epoch`]).

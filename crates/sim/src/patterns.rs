@@ -19,14 +19,56 @@ pub trait TrafficPattern: Send + Sync {
     /// Picks the destination for a message from `src`.
     fn dest(&self, topo: &dyn Topology, src: NodeId, rng: &mut dyn RngCore) -> Option<NodeId>;
 
-    /// The smallest node count the pattern is defined for: `0` for
-    /// patterns generic over topology size, `max referenced node + 1`
-    /// for patterns naming explicit nodes (hotspots, trace files).
-    /// Spec layers check this against the topology and reject the
-    /// combination with a typed error instead of letting the engine
-    /// index out of range.
-    fn min_nodes(&self) -> usize {
-        0
+    /// Whether the pattern is defined on `topo`. Patterns that assume
+    /// a shape (a square 2D mesh, a hypercube) or name explicit nodes
+    /// (hotspots, trace files) check it here; the rest fit everywhere.
+    /// Spec layers call this and reject a misfit with a typed error
+    /// instead of letting [`TrafficPattern::dest`] panic.
+    ///
+    /// # Errors
+    ///
+    /// A message that completes "pattern 'NAME' ...", naming the rule
+    /// and the topology that breaks it.
+    fn fits(&self, _topo: &dyn Topology) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// Fits topologies with two dimensions of equal radix.
+fn square_2d(topo: &dyn Topology) -> Result<(), String> {
+    if topo.num_dims() == 2 && topo.radix(0) == topo.radix(1) {
+        Ok(())
+    } else {
+        Err(format!(
+            "needs a square 2D mesh, but {} is not one",
+            topo.label()
+        ))
+    }
+}
+
+/// Fits topologies of radix 2 in every dimension.
+fn binary_cube(topo: &dyn Topology) -> Result<(), String> {
+    if (0..topo.num_dims()).all(|d| topo.radix(d) == 2) {
+        Ok(())
+    } else {
+        Err(format!(
+            "needs a hypercube, but {} is not one",
+            topo.label()
+        ))
+    }
+}
+
+/// Fits topologies with at least `nodes` nodes.
+fn has_nodes(topo: &dyn Topology, nodes: usize) -> Result<(), String> {
+    if nodes <= topo.num_nodes() {
+        Ok(())
+    } else {
+        Err(format!(
+            "references node {} but {} has only {} nodes",
+            nodes - 1,
+            topo.label(),
+            topo.num_nodes()
+        ))
     }
 }
 
@@ -86,6 +128,10 @@ impl TrafficPattern for Transpose {
         let (i, j) = (c.get(0), c.get(1));
         (i + j != k - 1).then(|| topo.node_at(&[k - 1 - j, k - 1 - i].into()))
     }
+
+    fn fits(&self, topo: &dyn Topology) -> Result<(), String> {
+        square_2d(topo)
+    }
 }
 
 /// The diagonal transpose `(i, j) -> (j, i)` in Cartesian coordinates: a
@@ -118,6 +164,10 @@ impl TrafficPattern for DiagonalTranspose {
         let c = topo.coord_of(src);
         let (i, j) = (c.get(0), c.get(1));
         (i != j).then(|| topo.node_at(&[j, i].into()))
+    }
+
+    fn fits(&self, topo: &dyn Topology) -> Result<(), String> {
+        square_2d(topo)
     }
 }
 
@@ -152,6 +202,19 @@ impl TrafficPattern for HypercubeTranspose {
         let d = (high | (low << half)) ^ (1 | (1 << half));
         (d != x).then(|| NodeId::new(d))
     }
+
+    fn fits(&self, topo: &dyn Topology) -> Result<(), String> {
+        binary_cube(topo)?;
+        if topo.num_dims().is_multiple_of(2) {
+            Ok(())
+        } else {
+            Err(format!(
+                "needs an even dimension count, but {} has {}",
+                topo.label(),
+                topo.num_dims()
+            ))
+        }
+    }
 }
 
 /// Reverse-flip traffic in a hypercube: destination bit `i` is the
@@ -178,6 +241,10 @@ impl TrafficPattern for ReverseFlip {
         }
         (d != x).then(|| NodeId::new(d))
     }
+
+    fn fits(&self, topo: &dyn Topology) -> Result<(), String> {
+        binary_cube(topo)
+    }
 }
 
 /// Bit-complement traffic: destination bit `i` is the complement of
@@ -198,6 +265,20 @@ impl TrafficPattern for BitComplement {
             .collect();
         let d = topo.node_at(&flipped.into());
         (d != src).then_some(d)
+    }
+
+    fn fits(&self, topo: &dyn Topology) -> Result<(), String> {
+        // Hex meshes have three axes but two (axial) coordinates.
+        if topo.coord_of(NodeId::new(0)).num_dims() == topo.num_dims() {
+            Ok(())
+        } else {
+            Err(format!(
+                "needs one coordinate per dimension, but {} has {} dimensions over {} coordinates",
+                topo.label(),
+                topo.num_dims(),
+                topo.coord_of(NodeId::new(0)).num_dims()
+            ))
+        }
     }
 }
 
@@ -224,6 +305,10 @@ impl TrafficPattern for BitReversal {
         }
         (d != x).then(|| NodeId::new(d))
     }
+
+    fn fits(&self, topo: &dyn Topology) -> Result<(), String> {
+        binary_cube(topo)
+    }
 }
 
 /// Perfect-shuffle traffic in a hypercube: rotate the address bits left
@@ -245,6 +330,10 @@ impl TrafficPattern for Shuffle {
         let x = src.index();
         let d = ((x << 1) | (x >> (n - 1))) & ((1 << n) - 1);
         (d != x).then(|| NodeId::new(d))
+    }
+
+    fn fits(&self, topo: &dyn Topology) -> Result<(), String> {
+        binary_cube(topo)
     }
 }
 
@@ -306,8 +395,8 @@ impl TrafficPattern for Hotspot {
         }
     }
 
-    fn min_nodes(&self) -> usize {
-        self.hotspot.index() + 1
+    fn fits(&self, topo: &dyn Topology) -> Result<(), String> {
+        has_nodes(topo, self.hotspot.index() + 1)
     }
 }
 
@@ -390,12 +479,9 @@ impl TrafficPattern for WeightedHotspot {
         }
     }
 
-    fn min_nodes(&self) -> usize {
-        self.hotspots
-            .iter()
-            .map(|(n, _)| n.index() + 1)
-            .max()
-            .unwrap_or(0)
+    fn fits(&self, topo: &dyn Topology) -> Result<(), String> {
+        let nodes = self.hotspots.iter().map(|(n, _)| n.index() + 1).max();
+        has_nodes(topo, nodes.unwrap_or(0))
     }
 }
 
@@ -544,8 +630,8 @@ impl TrafficPattern for Trace {
         }
     }
 
-    fn min_nodes(&self) -> usize {
-        self.min_nodes
+    fn fits(&self, topo: &dyn Topology) -> Result<(), String> {
+        has_nodes(topo, self.min_nodes)
     }
 }
 
@@ -565,6 +651,21 @@ impl TrafficPattern for NearestNeighbor {
         let pick = rng.random_range(0..neighbors.len());
         Some(neighbors[pick])
     }
+
+    fn fits(&self, topo: &dyn Topology) -> Result<(), String> {
+        let dirs = || turnroute_topology::Direction::all(topo.num_dims());
+        match topo
+            .nodes()
+            .find(|&n| dirs().all(|d| topo.neighbor(n, d).is_none()))
+        {
+            None => Ok(()),
+            Some(n) => Err(format!(
+                "needs a neighbor at every node, but node {} of {} has none",
+                n.index(),
+                topo.label()
+            )),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -575,6 +676,13 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
+    }
+
+    /// The fewest nodes a line must have for `pattern` to fit it.
+    fn min_nodes(pattern: &dyn TrafficPattern) -> usize {
+        (1..)
+            .find(|&n| pattern.fits(&Mesh::new(vec![n])).is_ok())
+            .unwrap()
     }
 
     #[test]
@@ -804,7 +912,7 @@ mod tests {
         }
         assert!((2800..3200).contains(&hits_a), "got {hits_a}");
         assert_eq!(hits_a + hits_b, 4000);
-        assert_eq!(pattern.min_nodes(), 13);
+        assert_eq!(min_nodes(&pattern), 13);
         assert_eq!(pattern.name(), "hotspot(3*3+12;100%)");
     }
 
@@ -821,16 +929,42 @@ mod tests {
     }
 
     #[test]
-    fn hotspot_min_nodes_names_the_node() {
-        assert_eq!(Hotspot::new(NodeId::new(9), 0.1).min_nodes(), 10);
-        assert_eq!(Uniform.min_nodes(), 0);
+    fn hotspot_fits_only_topologies_that_have_its_node() {
+        let hotspot = Hotspot::new(NodeId::new(9), 0.1);
+        assert_eq!(min_nodes(&hotspot), 10);
+        assert_eq!(min_nodes(&Uniform), 1);
+        let e = hotspot.fits(&Mesh::new_2d(3, 3)).unwrap_err();
+        assert!(e.starts_with("references node 9 but "), "{e}");
+        assert!(e.ends_with(" has only 9 nodes"), "{e}");
+    }
+
+    #[test]
+    fn shape_patterns_fit_only_their_shapes() {
+        let square = Mesh::new_2d(4, 4);
+        let oblong = Mesh::new_2d(4, 3);
+        let (cube3, cube4) = (Hypercube::new(3), Hypercube::new(4));
+        for p in [&Transpose as &dyn TrafficPattern, &DiagonalTranspose] {
+            assert!(p.fits(&square).is_ok(), "{}", p.name());
+            assert!(p.fits(&oblong).is_err(), "{}", p.name());
+            assert!(p.fits(&cube3).is_err(), "{}", p.name());
+        }
+        for p in [&ReverseFlip as &dyn TrafficPattern, &BitReversal, &Shuffle] {
+            assert!(p.fits(&cube3).is_ok(), "{}", p.name());
+            assert!(p.fits(&square).is_err(), "{}", p.name());
+        }
+        assert!(HypercubeTranspose.fits(&cube4).is_ok());
+        assert!(HypercubeTranspose.fits(&cube3).is_err());
+        assert!(HypercubeTranspose.fits(&square).is_err());
+        for p in [&Uniform as &dyn TrafficPattern, &BitComplement, &Tornado] {
+            assert!(p.fits(&oblong).is_ok() && p.fits(&cube3).is_ok());
+        }
     }
 
     #[test]
     fn trace_parses_and_draws_by_weight() {
         let trace = Trace::parse("# demo\n\n0 5\n0 9 3\n1 2\n", "trace:demo").unwrap();
         assert_eq!(trace.num_entries(), 3);
-        assert_eq!(trace.min_nodes(), 10);
+        assert_eq!(min_nodes(&trace), 10);
         let mesh = Mesh::new_2d(4, 4);
         let mut rng = rng();
         let mut to9 = 0;

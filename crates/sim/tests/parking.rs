@@ -1,6 +1,6 @@
-//! Blocked-header parking must be invisible: a run that parks blocked
-//! headers (no observer, deterministic selection) and a run that never
-//! stamps anything (the same configuration with an observer attached)
+//! Blocked-header parking must be invisible: a run that puts blocked
+//! headers to sleep (no observer, deterministic selection) and a run
+//! that never does (the same configuration with an observer attached)
 //! produce identical reports, final cycles and utilization vectors,
 //! while the parked run evaluates far fewer requesters.
 
@@ -14,8 +14,8 @@ use turnroute_sim::{
 use turnroute_topology::{ChannelId, Direction, Hypercube, Mesh, NodeId, Topology, Torus};
 
 /// Observes nothing, but is `ENABLED`: the engine must evaluate every
-/// requester every cycle to feed `packet_blocked`, so nothing is ever
-/// stamped.
+/// requester every cycle to feed `packet_blocked`, so nothing ever
+/// sleeps.
 struct Watch;
 
 impl SimObserver for Watch {}

@@ -12,6 +12,9 @@ if git grep -n "example\.invalid" -- ':!scripts/check.sh' ':!ISSUE.md' ':!CHANGE
   exit 1
 fi
 
+echo "==> mutants apply (every seeded bug still finds the code it guards)"
+scripts/mutants.sh --check
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -7,8 +7,11 @@
 # the oracle (crates/check/src/oracle.rs), the packet model or the
 # parking predicate — and when a mutant here stops applying, which means
 # the code it guards moved: re-seed the bug in the new code (or delete
-# the patch and say why), do not just drop it. Not part of check.sh: it
-# rebuilds the mutated crate once per patch (minutes, not seconds).
+# the patch and say why), do not just drop it. The full run is not part
+# of check.sh: it rebuilds the mutated crate once per patch (minutes,
+# not seconds). check.sh runs `--check`, which only checks that every
+# patch has its header lines and still applies, so moved code fails the
+# gate instead of waiting for the next full run.
 #
 # A patch is a unified diff (`diff -u`, paths relative to the repo root
 # with a/ b/ prefixes) preceded by two header lines:
@@ -25,9 +28,39 @@
 #
 #   scripts/mutants.sh            every patch
 #   scripts/mutants.sh NAME...    only crates/check/mutants/NAME.patch
+#   scripts/mutants.sh --check    headers and a dry-run apply, no build
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repo="$PWD"
+
+# Prints why $1 (a patch file) has no usable header lines, if it has
+# none.
+header_problem() {
+  local what test_cmd
+  what="$(sed -n 's/^# mutant: //p' "$1")"
+  test_cmd="$(sed -n 's/^# test: //p' "$1")"
+  if [[ -z "$what" || "$test_cmd" != "cargo test "* ]]; then
+    echo "needs '# mutant:' and '# test: cargo test ...' header lines"
+  fi
+}
+
+if [[ "${1:-}" == "--check" ]]; then
+  status=0
+  patches=("$repo"/crates/check/mutants/*.patch)
+  for patch in "${patches[@]}"; do
+    name="$(basename "$patch" .patch)"
+    problem="$(header_problem "$patch")"
+    if [[ -n "$problem" ]]; then
+      echo "FAIL $name: $problem" >&2
+      status=1
+    elif ! patch -p1 --dry-run --forward --silent <"$patch" >/dev/null; then
+      echo "FAIL $name: no longer applies — the code it guards moved; re-seed it" >&2
+      status=1
+    fi
+  done
+  ((status)) || echo "All ${#patches[@]} mutants apply."
+  exit "$status"
+fi
 
 patches=()
 if (($#)); then
@@ -45,13 +78,14 @@ export CARGO_TARGET_DIR="$scratch/target"
 status=0
 for patch in "${patches[@]}"; do
   name="$(basename "$patch" .patch)"
-  what="$(sed -n 's/^# mutant: //p' "$patch")"
-  test_cmd="$(sed -n 's/^# test: //p' "$patch")"
-  if [[ -z "$what" || "$test_cmd" != "cargo test "* ]]; then
-    echo "FAIL $name: needs '# mutant:' and '# test: cargo test ...' header lines" >&2
+  problem="$(header_problem "$patch")"
+  if [[ -n "$problem" ]]; then
+    echo "FAIL $name: $problem" >&2
     status=1
     continue
   fi
+  what="$(sed -n 's/^# mutant: //p' "$patch")"
+  test_cmd="$(sed -n 's/^# test: //p' "$patch")"
   echo "==> $name: $what"
   # shellcheck disable=SC2086
   if ! $test_cmd --offline >/dev/null 2>&1; then

@@ -44,9 +44,9 @@ commands:
             [--trace FILE [--trace-window START:END]]
             run the Section 6 wormhole simulation; one load reports in
             detail, several loads sweep in parallel and print CSV.
-            --route-table precomputes routing decisions into a dense
-            lookup table (auto: when it fits 64 MiB; results are
-            bit-identical either way).
+            --route-table memoises routing decisions in a dense
+            lookup table, filled on first use (auto: when it fits
+            64 MiB; results are bit-identical either way).
             --shards partitions one run's arbitration across worker
             threads at a cycle barrier (auto: one shard per core;
             reports are bit-identical at every shard count).

@@ -138,6 +138,51 @@ fn cli_surfaces_trace_and_traffic_errors_without_panicking() {
     }
 }
 
+#[test]
+fn cli_rejects_patterns_that_do_not_fit_the_topology() {
+    // Each pattern asserts a shape in its destination function; the fit
+    // check must name the mismatch before any engine runs.
+    for (topology, pattern, needle) in [
+        ("mesh:4x3", "transpose", "square 2D"),
+        ("hypercube:3", "transpose", "square 2D"),
+        ("mesh:4x4", "shuffle", "hypercube"),
+        ("mesh:4x4", "bit-reversal", "hypercube"),
+        ("mesh:4x4", "reverse-flip", "hypercube"),
+        ("mesh:4x3", "diagonal-transpose", "square 2D"),
+        ("hypercube:3", "hypercube-transpose", "even"),
+    ] {
+        let out = turnroute(&[
+            "simulate",
+            "--topology",
+            topology,
+            "--pattern",
+            pattern,
+            "--algorithm",
+            "xy",
+            "--load",
+            "0.05",
+            "--cycles",
+            "200",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        let case = format!("{pattern} on {topology}");
+        assert!(!out.status.success(), "{case} should fail: {stderr}");
+        assert!(stderr.starts_with("error:"), "{case}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        assert!(
+            stderr.contains(needle),
+            "{case} missing '{needle}': {stderr}"
+        );
+    }
+    // The builder says the same with a typed error.
+    let err = ExperimentSpec::builder("mesh:4x3", "transpose")
+        .algorithm("xy")
+        .loads(&[0.05])
+        .build()
+        .unwrap_err();
+    assert_eq!(err.kind(), "parse", "{err}");
+}
+
 fn start_server() -> (ServerHandle, String) {
     let store = std::env::temp_dir().join(format!("turnroute-neg-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
